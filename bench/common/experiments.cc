@@ -188,7 +188,7 @@ void RunOpinionExperiment(const datagen::DatasetConfig& base_config,
     };
     if (parallel_selectors) {
       util::ParallelFor(
-          "bench.selectors", selectors.size(),
+          selectors.size(),
           [&](std::size_t begin, std::size_t end, std::size_t) {
             for (std::size_t i = begin; i < end; ++i) run_one(i);
           },

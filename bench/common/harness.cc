@@ -8,8 +8,8 @@
 #include "podium/baselines/kmeans_selector.h"
 #include "podium/baselines/random_selector.h"
 #include "podium/core/greedy.h"
+#include "podium/obs/trace.h"
 #include "podium/telemetry/export.h"
-#include "podium/telemetry/phase.h"
 #include "podium/telemetry/telemetry.h"
 #include "podium/util/stopwatch.h"
 #include "podium/util/thread_pool.h"
@@ -18,11 +18,12 @@ namespace podium::bench {
 
 namespace {
 
-/// Selector-internal setup seconds recorded in `tree` (the phase names the
-/// GreedySelector emits before its selection loop).
-double SetupSeconds(const telemetry::PhaseStats& tree) {
-  return telemetry::SumPhaseSeconds(tree, "greedy.setup") +
-         telemetry::SumPhaseSeconds(tree, "greedy.init");
+/// Selector-internal setup seconds recorded so far: the sums of the span
+/// histograms the GreedySelector fills before its selection loop.
+double SetupSeconds() {
+  auto& registry = telemetry::MetricsRegistry::Global();
+  return registry.histogram(telemetry::SpanMetricName("greedy.setup")).Sum() +
+         registry.histogram(telemetry::SpanMetricName("greedy.init")).Sum();
 }
 
 }  // namespace
@@ -74,12 +75,12 @@ std::vector<TimedSelection> RunSelectors(
     std::vector<TimedSelection> results(selectors.size());
     std::vector<Status> failures(selectors.size());
     util::ParallelFor(
-        "bench.selectors", selectors.size(),
+        selectors.size(),
         [&](std::size_t begin, std::size_t end, std::size_t) {
           for (std::size_t i = begin; i < end; ++i) {
             util::Stopwatch stopwatch;
             Result<Selection> selection = [&] {
-              telemetry::PhaseSpan span("select." + selectors[i]->Name());
+              obs::Span span("select." + selectors[i]->Name());
               return selectors[i]->Select(instance, budget);
             }();
             const double seconds = stopwatch.ElapsedSeconds();
@@ -106,10 +107,10 @@ std::vector<TimedSelection> RunSelectors(
   for (const auto& selector : selectors) {
     const bool split_phases = telemetry::Enabled();
     double setup_before = 0.0;
-    if (split_phases) setup_before = SetupSeconds(telemetry::PhaseTreeSnapshot());
+    if (split_phases) setup_before = SetupSeconds();
     util::Stopwatch stopwatch;
     Result<Selection> selection = [&] {
-      telemetry::PhaseSpan span("select." + selector->Name());
+      obs::Span span("select." + selector->Name());
       return selector->Select(instance, budget);
     }();
     const double seconds = stopwatch.ElapsedSeconds();
@@ -121,8 +122,7 @@ std::vector<TimedSelection> RunSelectors(
     TimedSelection timed{selector->Name(), std::move(selection).value(),
                          seconds, 0.0, seconds};
     if (split_phases) {
-      timed.setup_seconds =
-          SetupSeconds(telemetry::PhaseTreeSnapshot()) - setup_before;
+      timed.setup_seconds = SetupSeconds() - setup_before;
       timed.select_seconds = seconds - timed.setup_seconds;
     }
     results.push_back(std::move(timed));

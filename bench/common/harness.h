@@ -13,8 +13,8 @@
 
 namespace podium::bench {
 
-/// Experiment-binary telemetry wiring: enables podium::telemetry (phase
-/// spans, counters, greedy tracing) and consumes the --telemetry-out flag.
+/// Experiment-binary telemetry wiring: enables podium::telemetry (span
+/// histograms, counters, gauges) and consumes the --telemetry-out flag.
 /// Returns the flag's value — the path the JSON export should be written
 /// to — or "" when the flag was absent. Call before CheckConsumed().
 std::string InitTelemetry(Flags& flags);
@@ -40,8 +40,9 @@ struct TimedSelection {
   /// Whole Select() call, wall clock.
   double seconds = 0.0;
   /// The selector's internal pre-algorithm work (pool materialization,
-  /// rank tables, marginal-gain initialization), measured via phase spans.
-  /// 0 for uninstrumented selectors or when telemetry is disabled.
+  /// rank tables, marginal-gain initialization): the growth of the
+  /// greedy.setup + greedy.init span histograms over the call. 0 for
+  /// uninstrumented selectors or when telemetry is disabled.
   double setup_seconds = 0.0;
   /// `seconds - setup_seconds`: the algorithm proper. Scalability figures
   /// report this so instance-construction cost is not attributed to the
@@ -53,7 +54,7 @@ struct TimedSelection {
 /// binaries treat selector failures as fatal). With `concurrent` set, the
 /// selectors run as one parallel loop over the pool — results stay in
 /// selector order and selections are unchanged, but per-selector wall
-/// clocks overlap and the phase-based setup/select split is unavailable
+/// clocks overlap and the span-based setup/select split is unavailable
 /// (setup_seconds stays 0), so quality sweeps use it and timing figures
 /// must not.
 std::vector<TimedSelection> RunSelectors(

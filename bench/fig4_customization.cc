@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
     };
     std::vector<RepMetrics> rep_metrics(runs);
     podium::util::ParallelFor(
-        "fig4.reps", runs,
+        runs,
         [&](std::size_t begin, std::size_t end, std::size_t) {
           for (std::size_t rep = begin; rep < end; ++rep) {
             podium::CustomizationFeedback feedback;

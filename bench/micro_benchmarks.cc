@@ -249,8 +249,8 @@ BENCHMARK(BM_GreedySelect)
     ->Unit(benchmark::kMillisecond);
 
 // Telemetry overhead on the greedy hot path: arg 0 runs with telemetry
-// disabled (the library default — one relaxed atomic load per
-// instrumented site), arg 1 with phase spans + counters + tracing live.
+// disabled (the library default — a relaxed atomic load and a clock read
+// per span), arg 1 with the span histograms and greedy counters live.
 // The disabled row must stay within noise of BM_GreedySelect.
 void BM_GreedySelectTelemetry(benchmark::State& state) {
   const DiversificationInstance& instance = SharedInstance();

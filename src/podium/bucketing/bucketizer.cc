@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "podium/bucketing/internal.h"
-#include "podium/telemetry/phase.h"
+#include "podium/obs/trace.h"
 #include "podium/telemetry/telemetry.h"
 #include "podium/util/math_util.h"
 
@@ -111,7 +111,7 @@ Result<std::vector<Bucket>> EqualWidthBucketizer::Split(
     std::vector<double> values, int max_buckets) const {
   PODIUM_RETURN_IF_ERROR(internal::ValidateSplitInput(values, max_buckets));
   RecordSplit("equal-width", values.size());
-  telemetry::PhaseSpan span("bucketize.equal-width");
+  obs::Span span("bucketize.equal-width");
   std::vector<double> breakpoints;
   for (int i = 1; i < max_buckets; ++i) {
     breakpoints.push_back(static_cast<double>(i) /
@@ -124,7 +124,7 @@ Result<std::vector<Bucket>> QuantileBucketizer::Split(
     std::vector<double> values, int max_buckets) const {
   PODIUM_RETURN_IF_ERROR(internal::ValidateSplitInput(values, max_buckets));
   RecordSplit("quantile", values.size());
-  telemetry::PhaseSpan span("bucketize.quantile");
+  obs::Span span("bucketize.quantile");
   if (internal::Degenerate(values)) {
     return internal::BuildPartition({});
   }

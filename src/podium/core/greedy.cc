@@ -8,9 +8,8 @@
 
 #include "podium/core/kernels.h"
 #include "podium/core/score.h"
-#include "podium/telemetry/phase.h"
+#include "podium/obs/trace.h"
 #include "podium/telemetry/telemetry.h"
-#include "podium/telemetry/trace.h"
 #include "podium/util/arena.h"
 #include "podium/util/bitset.h"
 #include "podium/util/rng.h"
@@ -20,31 +19,30 @@ namespace podium {
 
 namespace {
 
-/// Buffers per-round trace events and data-structure counters for one
-/// Select() run, flushing to the global sinks once at the end — the hot
-/// loop touches only locals, so the enabled-mode overhead is a handful of
-/// integer increments per round.
+/// One Select() run's data-structure work. The hot loop touches only
+/// these locals; Publish() reports the totals once, as attributes of the
+/// run's `greedy.rounds` span and, while telemetry is enabled, into the
+/// `greedy.*` counters.
 struct GreedyRunStats {
-  bool enabled = false;
-  std::vector<telemetry::GreedyRoundEvent> events;
+  std::uint64_t rounds = 0;
   std::uint64_t heap_pops = 0;
   std::uint64_t stale_reinserts = 0;
   std::uint64_t retired_links = 0;
   std::uint64_t retired_groups = 0;
 
-  explicit GreedyRunStats(std::size_t budget)
-      : enabled(telemetry::Enabled()) {
-    if (enabled) events.reserve(budget);
-  }
-
-  void Flush() {
-    if (!enabled) return;
-    const std::uint32_t run = telemetry::GreedyTrace::NextRunId();
-    for (telemetry::GreedyRoundEvent& event : events) event.run = run;
-    telemetry::GreedyTrace::Record(events);
+  void Publish(obs::Span& rounds_span) const {
+    rounds_span.SetAttribute("rounds", static_cast<double>(rounds));
+    rounds_span.SetAttribute("retired_links",
+                             static_cast<double>(retired_links));
+    rounds_span.SetAttribute("retired_groups",
+                             static_cast<double>(retired_groups));
+    rounds_span.SetAttribute("heap_pops", static_cast<double>(heap_pops));
+    rounds_span.SetAttribute("stale_reinserts",
+                             static_cast<double>(stale_reinserts));
+    if (!telemetry::Enabled()) return;
     auto& registry = telemetry::MetricsRegistry::Global();
     registry.counter("greedy.runs").Add();
-    registry.counter("greedy.rounds").Add(events.size());
+    registry.counter("greedy.rounds").Add(rounds);
     registry.counter("greedy.heap_pops").Add(heap_pops);
     registry.counter("greedy.stale_reinserts").Add(stale_reinserts);
     registry.counter("greedy.retired_links").Add(retired_links);
@@ -127,7 +125,7 @@ Selection RunScalarGreedy(const DiversificationInstance& instance,
 
   // Phase accounting: "greedy.init" covers the marginal-gain/heap setup,
   // "greedy.rounds" the selection loop, "greedy.score" the final scoring.
-  std::optional<telemetry::PhaseSpan> phase;
+  std::optional<obs::Span> phase;
   phase.emplace("greedy.init");
   SoaState state(num_users, num_groups);
   std::copy(instance.coverage().begin(), instance.coverage().end(),
@@ -151,7 +149,7 @@ Selection RunScalarGreedy(const DiversificationInstance& instance,
   // tiers contribute an exact +0.0). Pool users are distinct (Select()
   // dedupes), so chunks write disjoint gain slots.
   util::ParallelFor(
-      "greedy.init_gains", pool.size(),
+      pool.size(),
       [&](std::size_t begin, std::size_t end, std::size_t) {
         for (std::size_t i = begin; i < end; ++i) {
           const UserId u = pool[i];
@@ -190,7 +188,7 @@ Selection RunScalarGreedy(const DiversificationInstance& instance,
   if (mode == GreedyMode::kLazyHeap) {
     std::vector<HeapEntry> entries(pool.size());
     util::ParallelFor(
-        "greedy.init_heap", pool.size(),
+        pool.size(),
         [&](std::size_t begin, std::size_t end, std::size_t) {
           for (std::size_t i = begin; i < end; ++i) {
             const UserId u = pool[i];
@@ -204,7 +202,7 @@ Selection RunScalarGreedy(const DiversificationInstance& instance,
   }
 
   phase.emplace("greedy.rounds");
-  GreedyRunStats stats(budget);
+  GreedyRunStats stats;
   Selection selection;
   std::size_t pool_left = pool.size();
   for (std::size_t round = 0; round < budget && pool_left > 0; ++round) {
@@ -214,8 +212,6 @@ Selection RunScalarGreedy(const DiversificationInstance& instance,
     // distinct pool users — no two compare equal, so the winner does not
     // depend on iteration order.
     UserId chosen = kInvalidUser;
-    std::uint32_t round_pops = 0;
-    std::uint32_t round_stale = 0;
     if (mode == GreedyMode::kPlainScan) {
       state.alive.ForEachSet([&](std::size_t i) {
         const UserId u = static_cast<UserId>(i);
@@ -225,7 +221,7 @@ Selection RunScalarGreedy(const DiversificationInstance& instance,
       while (!heap.empty()) {
         HeapEntry top = heap.top();
         heap.pop();
-        ++round_pops;
+        ++stats.heap_pops;
         if (!state.in_pool[top.user]) continue;
         // Start the candidate's adjacency span on its way to cache while
         // the staleness compare resolves.
@@ -237,7 +233,7 @@ Selection RunScalarGreedy(const DiversificationInstance& instance,
           top.gain0 = state.gain0[top.user];
           top.gain1 = state.gain1[top.user];
           heap.push(top);
-          ++round_stale;
+          ++stats.stale_reinserts;
           continue;
         }
         chosen = top.user;
@@ -248,44 +244,25 @@ Selection RunScalarGreedy(const DiversificationInstance& instance,
 
     // Lines 6-10: move the user, decrement coverage, retire dead groups
     // and charge their weight back from other members' marginal gains.
-    const double chosen_gain0 = state.gain0[chosen];
-    const double chosen_gain1 = state.gain1[chosen];
     selection.users.push_back(chosen);
     state.in_pool[chosen] = 0;
     state.alive.Clear(chosen);
     --pool_left;
     const auto adjacent = groups.groups_of(chosen);
     kernels::PrefetchRange(adjacent.data(), adjacent.size() * sizeof(GroupId));
-    std::uint32_t round_retired_links = 0;
-    std::uint32_t round_retired_groups = 0;
     for (GroupId g : adjacent) {
       const std::uint8_t tier = tiers[g];
       if (tier >= kIgnoredTier || state.group_dead[g]) continue;
       if (--state.remaining[g] > 0) continue;
       state.group_dead[g] = 1;
-      ++round_retired_groups;
+      ++stats.retired_groups;
       double* gains = tier == 0 ? state.gain0.data() : state.gain1.data();
-      round_retired_links += kernels::RetireSpan(
+      stats.retired_links += kernels::RetireSpan(
           groups.members(g), state.in_pool.data(), gains, weights[g]);
     }
-    if (stats.enabled) {
-      telemetry::GreedyRoundEvent event;
-      event.round = static_cast<std::uint32_t>(round);
-      event.user = chosen;
-      event.gain = chosen_gain0;
-      event.gain_secondary = chosen_gain1;
-      event.heap_pops = round_pops;
-      event.stale_reinserts = round_stale;
-      event.retired_links = round_retired_links;
-      event.retired_groups = round_retired_groups;
-      stats.events.push_back(event);
-      stats.heap_pops += round_pops;
-      stats.stale_reinserts += round_stale;
-      stats.retired_links += round_retired_links;
-      stats.retired_groups += round_retired_groups;
-    }
+    ++stats.rounds;
   }
-  stats.Flush();
+  stats.Publish(*phase);
   phase.emplace("greedy.score");
   selection.score = TotalScore(instance, selection.users);
   return selection;
@@ -320,7 +297,7 @@ Selection RunEbsGreedy(const DiversificationInstance& instance,
   const GroupIndex& groups = instance.groups();
   const std::size_t num_users = instance.repository().user_count();
 
-  std::optional<telemetry::PhaseSpan> phase;
+  std::optional<obs::Span> phase;
   phase.emplace("greedy.init");
   std::vector<EbsGain> gains(num_users);
   std::vector<std::uint32_t> remaining = instance.coverage();
@@ -330,7 +307,7 @@ Selection RunEbsGreedy(const DiversificationInstance& instance,
   // Pool users are distinct (Select() dedupes), so chunks build disjoint
   // rank sets.
   util::ParallelFor(
-      "greedy.init_gains", pool.size(),
+      pool.size(),
       [&](std::size_t begin, std::size_t end, std::size_t) {
         for (std::size_t i = begin; i < end; ++i) {
           const UserId u = pool[i];
@@ -344,7 +321,7 @@ Selection RunEbsGreedy(const DiversificationInstance& instance,
       kPoolGrain);
 
   phase.emplace("greedy.rounds");
-  GreedyRunStats stats(budget);
+  GreedyRunStats stats;
   Selection selection;
   std::size_t pool_left = pool.size();
   for (std::size_t round = 0; round < budget && pool_left > 0; ++round) {
@@ -357,40 +334,25 @@ Selection RunEbsGreedy(const DiversificationInstance& instance,
         chosen = u;
       }
     }
-    // EBS gains are rank sets, not scalars; the traced gain is the number
-    // of alive groups the chosen user still covers.
-    const auto chosen_gain = static_cast<double>(gains[chosen].ranks.size());
     selection.users.push_back(chosen);
     in_pool[chosen] = 0;
     --pool_left;
-    std::uint32_t round_retired_links = 0;
-    std::uint32_t round_retired_groups = 0;
     for (GroupId g : groups.groups_of(chosen)) {
       if (group_dead[g]) continue;
       if (--remaining[g] > 0) continue;
       group_dead[g] = 1;
-      ++round_retired_groups;
+      ++stats.retired_groups;
       const std::uint32_t rank = instance.weights().rank(g);
       for (UserId member : groups.members(g)) {
         if (in_pool[member]) {
           gains[member].Remove(rank);
-          ++round_retired_links;
+          ++stats.retired_links;
         }
       }
     }
-    if (stats.enabled) {
-      telemetry::GreedyRoundEvent event;
-      event.round = static_cast<std::uint32_t>(round);
-      event.user = chosen;
-      event.gain = chosen_gain;
-      event.retired_links = round_retired_links;
-      event.retired_groups = round_retired_groups;
-      stats.events.push_back(event);
-      stats.retired_links += round_retired_links;
-      stats.retired_groups += round_retired_groups;
-    }
+    ++stats.rounds;
   }
-  stats.Flush();
+  stats.Publish(*phase);
   phase.emplace("greedy.score");
   selection.score = TotalScore(instance, selection.users);
   return selection;
@@ -400,12 +362,12 @@ Selection RunEbsGreedy(const DiversificationInstance& instance,
 
 Result<Selection> GreedySelector::Select(
     const DiversificationInstance& instance, std::size_t budget) const {
-  telemetry::PhaseSpan select_span("greedy.select");
+  obs::Span select_span("greedy.select");
   // "greedy.setup" covers everything before the algorithm proper: option
   // validation, candidate-pool materialization, tie-break ranks, weight
   // perturbation. Closed right before dispatching to the run loop so the
   // bench harness can separate setup from selection cost.
-  std::optional<telemetry::PhaseSpan> setup_span;
+  std::optional<obs::Span> setup_span;
   setup_span.emplace("greedy.setup");
   const std::size_t num_users = instance.repository().user_count();
   const std::size_t num_groups = instance.groups().group_count();

@@ -36,7 +36,7 @@ double TotalScore(const DiversificationInstance& instance,
       util::PlanChunks(selected.size(), kGroupGrain);
   std::vector<double> partial(plan.num_chunks, 0.0);
   util::ParallelFor(
-      "score.total", selected.size(),
+      selected.size(),
       [&](std::size_t begin, std::size_t end, std::size_t chunk) {
         double sum = 0.0;
         for (GroupId g = begin; g < end; ++g) {

@@ -8,7 +8,7 @@
 
 #include "podium/datagen/persona.h"
 #include "podium/datagen/vocabularies.h"
-#include "podium/telemetry/phase.h"
+#include "podium/obs/trace.h"
 #include "podium/telemetry/telemetry.h"
 #include "podium/util/math_util.h"
 #include "podium/util/rng.h"
@@ -98,7 +98,7 @@ Result<Dataset> GenerateDataset(const DatasetConfig& config) {
     return Status::InvalidArgument("invalid review count range");
   }
 
-  telemetry::PhaseSpan generate_span("datagen.generate");
+  obs::Span generate_span("datagen.generate");
   Dataset dataset;
   dataset.config = config;
   util::Rng rng(config.seed);
@@ -131,7 +131,7 @@ Result<Dataset> GenerateDataset(const DatasetConfig& config) {
   }
 
   // --- Personas and users -------------------------------------------------
-  std::optional<telemetry::PhaseSpan> section;
+  std::optional<obs::Span> section;
   section.emplace("datagen.users");
   util::Rng persona_rng = rng.Fork(1);
   std::vector<Persona> personas;
@@ -323,7 +323,7 @@ Result<Dataset> GenerateDataset(const DatasetConfig& config) {
   std::vector<std::vector<taxonomy::CategoryId>> restaurant_categories(
       restaurants.size());
   util::ParallelFor(
-      "datagen.closures", restaurants.size(),
+      restaurants.size(),
       [&](std::size_t begin, std::size_t end, std::size_t) {
         for (std::size_t r = begin; r < end; ++r) {
           std::vector<taxonomy::CategoryId>& categories =
@@ -353,7 +353,7 @@ Result<Dataset> GenerateDataset(const DatasetConfig& config) {
     user_ids[u] = added.value();
   }
   util::ParallelFor(
-      "datagen.profiles", users.size(),
+      users.size(),
       [&](std::size_t begin, std::size_t end, std::size_t) {
         struct CategoryAggregate {
           std::uint32_t count = 0;

@@ -6,7 +6,7 @@
 #include <numeric>
 #include <utility>
 
-#include "podium/telemetry/phase.h"
+#include "podium/obs/trace.h"
 #include "podium/telemetry/telemetry.h"
 #include "podium/util/thread_pool.h"
 
@@ -97,7 +97,7 @@ Status GroupIndex::FinalizeAdjacency(
 
 Result<GroupIndex> GroupIndex::Build(const ProfileRepository& repository,
                                      const GroupingOptions& options) {
-  telemetry::PhaseSpan span("group_index.build");
+  obs::Span span("group_index.build");
   Result<std::unique_ptr<bucketing::Bucketizer>> bucketizer =
       bucketing::MakeBucketizer(options.bucket_method);
   if (!bucketizer.ok()) return bucketizer.status();
@@ -116,7 +116,7 @@ Result<GroupIndex> GroupIndex::Build(const ProfileRepository& repository,
   std::vector<std::vector<std::vector<double>>> chunk_scores(
       user_plan.num_chunks);
   util::ParallelFor(
-      "group_index.collect", num_users,
+      num_users,
       [&](std::size_t begin, std::size_t end, std::size_t chunk) {
         auto& local = chunk_scores[chunk];
         local.resize(num_properties);
@@ -129,7 +129,7 @@ Result<GroupIndex> GroupIndex::Build(const ProfileRepository& repository,
       kUserGrain);
   std::vector<std::vector<double>> scores(num_properties);
   util::ParallelFor(
-      "group_index.merge", num_properties,
+      num_properties,
       [&](std::size_t begin, std::size_t end, std::size_t) {
         for (PropertyId p = begin; p < end; ++p) {
           std::size_t total = 0;
@@ -163,7 +163,7 @@ Result<GroupIndex> GroupIndex::Build(const ProfileRepository& repository,
   // property order is returned, matching the serial early-exit.
   std::vector<Status> bucket_errors(num_properties);
   util::ParallelFor(
-      "group_index.bucketize", num_properties,
+      num_properties,
       [&](std::size_t begin, std::size_t end, std::size_t) {
         const auto local_bucketizer =
             bucketing::MakeBucketizer(options.bucket_method);
@@ -215,7 +215,7 @@ Result<GroupIndex> GroupIndex::Build(const ProfileRepository& repository,
   std::vector<std::vector<std::vector<UserId>>> chunk_members(
       user_plan.num_chunks);
   util::ParallelFor(
-      "group_index.assign", num_users,
+      num_users,
       [&](std::size_t begin, std::size_t end, std::size_t chunk) {
         auto& local = chunk_members[chunk];
         local.resize(num_slots);
@@ -235,7 +235,7 @@ Result<GroupIndex> GroupIndex::Build(const ProfileRepository& repository,
       kUserGrain);
   std::vector<std::vector<UserId>> provisional_members(num_slots);
   util::ParallelFor(
-      "group_index.gather", num_slots,
+      num_slots,
       [&](std::size_t begin, std::size_t end, std::size_t) {
         for (std::size_t slot = begin; slot < end; ++slot) {
           std::size_t total = 0;
@@ -289,7 +289,7 @@ Result<GroupIndex> GroupIndex::FromDefs(const ProfileRepository& repository,
   // Each definition scans the repository independently.
   std::vector<std::vector<UserId>> members(defs.size());
   util::ParallelFor(
-      "group_index.from_defs", defs.size(),
+      defs.size(),
       [&](std::size_t begin, std::size_t end, std::size_t) {
         for (std::size_t d = begin; d < end; ++d) {
           for (UserId u = 0; u < repository.user_count(); ++u) {

@@ -8,7 +8,7 @@
 
 #include "podium/datagen/vocabularies.h"
 #include "podium/json/parser.h"
-#include "podium/telemetry/phase.h"
+#include "podium/obs/trace.h"
 #include "podium/telemetry/telemetry.h"
 #include "podium/util/math_util.h"
 #include "podium/util/string_util.h"
@@ -83,7 +83,7 @@ Result<YelpDataset> IngestYelp(const std::string& business_path,
                                const std::string& review_path,
                                const std::string& user_path,
                                const YelpIngestOptions& options) {
-  telemetry::PhaseSpan ingest_span("ingest.yelp");
+  obs::Span ingest_span("ingest.yelp");
   YelpDataset dataset;
 
   // --- Topic vocabulary -----------------------------------------------------
@@ -96,7 +96,7 @@ Result<YelpDataset> IngestYelp(const std::string& business_path,
   }
 
   // --- businesses -----------------------------------------------------------
-  std::optional<telemetry::PhaseSpan> section;
+  std::optional<obs::Span> section;
   section.emplace("ingest.businesses");
   std::unordered_map<std::string, Business> businesses;
   PODIUM_RETURN_IF_ERROR(ForEachJsonLine(

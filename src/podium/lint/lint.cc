@@ -638,13 +638,13 @@ constexpr ModuleRule kModuleDag[] = {
     {"profile", "csv json util"},
     {"opinion", "profile util"},
     {"taxonomy", "profile util"},
-    {"bucketing", "telemetry util"},
-    {"groups", "bucketing profile telemetry util"},
-    {"core", "bucketing groups json profile taxonomy telemetry util"},
+    {"bucketing", "obs telemetry util"},
+    {"groups", "bucketing obs profile telemetry util"},
+    {"core", "bucketing groups json obs profile taxonomy telemetry util"},
     {"baselines", "core util"},
     {"metrics", "core groups opinion util"},
-    {"datagen", "opinion profile taxonomy telemetry util"},
-    {"ingest", "datagen json opinion profile telemetry util"},
+    {"datagen", "obs opinion profile taxonomy telemetry util"},
+    {"ingest", "datagen json obs opinion profile telemetry util"},
     {"shard", "bucketing core groups obs profile telemetry util"},
     {"serve", "core groups json obs profile shard telemetry util"},
     {"check", "core datagen json serve shard util"},

@@ -16,8 +16,9 @@ namespace podium::obs {
 /// ending in `le="+Inf"`, plus `_sum` and `_count`.
 ///
 /// Registry names map to Prometheus names by sanitization: characters
-/// outside [a-zA-Z0-9_:] become '_' (so "serve.latency_seconds" renders
-/// as "serve_latency_seconds") and a leading digit gets a '_' prefix.
+/// outside [a-zA-Z0-9_:] become '_' (so "serve.http.request_seconds"
+/// renders as "serve_http_request_seconds") and a leading digit gets a
+/// '_' prefix.
 ///
 /// A registry name may carry labels with the Prometheus-like convention
 ///   serve.http.responses{code="200"}

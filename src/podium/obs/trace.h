@@ -4,13 +4,19 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "podium/util/mutex.h"
 #include "podium/util/thread_annotations.h"
+
+namespace podium::telemetry {
+class Histogram;
+}  // namespace podium::telemetry
 
 namespace podium::obs {
 
@@ -34,23 +40,31 @@ struct TraceId {
   static TraceId Generate();
 };
 
+/// A numeric attribute on a span: a work counter that accounts for the
+/// span's cost (the greedy's `rounds`, `retired_links`, ...).
+struct SpanAttribute {
+  std::string key;
+  double value = 0.0;
+};
+
 /// One timed operation inside a request. Spans form a tree via
 /// `parent` (index into the trace's span vector, -1 for roots); the serve
-/// stack nests e.g. select → admission/cache.lookup/run.
+/// stack nests e.g. select → admission/cache.lookup/run → greedy.select.
 struct TraceSpan {
   std::string name;
   int parent = -1;
   /// Offset from the trace's start, and duration, both in seconds.
   double start_seconds = 0.0;
   double duration_seconds = 0.0;
+  std::vector<SpanAttribute> attributes;
 };
 
 /// Per-request trace state: the id plus the span list. Created by the
 /// HTTP server when a request arrives and installed as the calling
-/// thread's current trace, so layers below (service, cache) can attach
-/// spans without threading a context parameter through every signature.
-/// NOT thread-safe — a request is handled by one thread; work fanned out
-/// to pool threads is accounted to the span that launched it.
+/// thread's current trace, so layers below (service, cache, greedy) can
+/// attach spans without threading a context parameter through every
+/// signature. NOT thread-safe — a request is handled by one thread; work
+/// fanned out to pool threads is accounted to the span that launched it.
 class TraceContext {
  public:
   explicit TraceContext(TraceId id);
@@ -63,13 +77,15 @@ class TraceContext {
   void EndSpan(int index);
 
   /// Records an already-measured span (offset + duration in seconds,
-  /// relative to the trace start) under the innermost open span. Used by
-  /// layers that fan work out to pool threads — the sharded selector
-  /// measures each shard's wall clock off-thread and projects it into the
-  /// request trace, which the RAII Span cannot do from a non-request
-  /// thread. Returns the span's index.
+  /// relative to the trace start) under the innermost open span. Returns
+  /// the span's index. Library code goes through obs::RecordSpan, which
+  /// also feeds the span histogram.
   int AddCompletedSpan(std::string_view name, double start_seconds,
                        double duration_seconds);
+
+  /// Appends a numeric attribute to span `index`; bogus indices are
+  /// ignored.
+  void SetAttribute(int index, std::string_view key, double value);
 
   double ElapsedSeconds() const;
   const std::vector<TraceSpan>& spans() const { return spans_; }
@@ -98,9 +114,15 @@ class TraceScope {
   TraceContext* previous_;
 };
 
-/// RAII span against the thread's current trace; a no-op (one TLS read)
-/// when no trace is installed, so library code can be instrumented
-/// unconditionally.
+/// The one span primitive: an RAII wall-clock span that feeds two sinks.
+/// - The thread's current trace, when one is installed, as a child of the
+///   innermost open span.
+/// - While telemetry is enabled, the registry histogram
+///   `span.seconds{span="<name>"}`: the aggregate that /metrics, the
+///   Prometheus `span_seconds` family, --timing and the bench exports
+///   read. It is resolved at construction, so `name` may be a temporary.
+/// With neither sink live a span costs a TLS read, a relaxed atomic load
+/// and a clock read, so library code is instrumented unconditionally.
 class Span {
  public:
   explicit Span(std::string_view name);
@@ -108,10 +130,28 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
+  /// Attaches a numeric attribute (recorded in the trace only).
+  void SetAttribute(std::string_view key, double value);
+
+  /// Seconds since construction.
+  double ElapsedSeconds() const;
+
  private:
   TraceContext* trace_;
+  telemetry::Histogram* histogram_ = nullptr;  // null: telemetry disabled
   int index_ = -1;
+  std::chrono::steady_clock::time_point start_;
 };
+
+using SpanAttributes =
+    std::initializer_list<std::pair<std::string_view, double>>;
+
+/// Records an already-measured span through the same two sinks as Span:
+/// the span histogram, and the current trace (if any) at `start_seconds`
+/// from the trace's start. For intervals no RAII span can cover, such as
+/// the HTTP queue wait or a shard's round 1 timed on a pool thread.
+void RecordSpan(std::string_view name, double start_seconds,
+                double duration_seconds, SpanAttributes attributes = {});
 
 /// A completed request trace, as exported by GET /v1/traces.
 struct FinishedTrace {

@@ -127,6 +127,13 @@ json::Value SpanToJson(const obs::TraceSpan& span) {
   out.Set("parent", json::Value(static_cast<double>(span.parent)));
   out.Set("start_seconds", json::Value(span.start_seconds));
   out.Set("duration_seconds", json::Value(span.duration_seconds));
+  if (!span.attributes.empty()) {
+    json::Object attributes;
+    for (const obs::SpanAttribute& attribute : span.attributes) {
+      attributes.Set(attribute.key, json::Value(attribute.value));
+    }
+    out.Set("attributes", json::Value(std::move(attributes)));
+  }
   return json::Value(std::move(out));
 }
 

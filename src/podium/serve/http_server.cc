@@ -20,7 +20,8 @@ namespace podium::serve {
 namespace {
 
 /// Compact span rendering for sampled access-log lines:
-/// "select:3.21ms,select/run:3.08ms" (child names prefixed by parent).
+/// "select:3.21ms,select/run:3.08ms,...,greedy.rounds{rounds=16 ...}:2.9ms"
+/// (child names prefixed by parent, attributes in braces).
 std::string RenderSpansCompact(const std::vector<obs::TraceSpan>& spans) {
   std::string out;
   std::vector<std::string> qualified(spans.size());
@@ -34,6 +35,12 @@ std::string RenderSpansCompact(const std::vector<obs::TraceSpan>& spans) {
             : span.name;
     if (!out.empty()) out += ",";
     out += qualified[i];
+    for (std::size_t a = 0; a < span.attributes.size(); ++a) {
+      out += util::StringPrintf("%c%s=%.17g", a == 0 ? '{' : ' ',
+                                span.attributes[a].key.c_str(),
+                                span.attributes[a].value);
+    }
+    if (!span.attributes.empty()) out += "}";
     out += util::StringPrintf(":%.3fms", span.duration_seconds * 1e3);
   }
   return out;
@@ -160,14 +167,12 @@ HttpResponse HttpServer::DispatchTraced(const HttpRequest& request,
 
   const double start_unix = UnixSecondsNow();
   obs::TraceContext trace(trace_id);
-  // The wait for a worker happened before this trace existed; project it
-  // as a span at offset 0 so trace views show queueing next to handling.
-  if (queue_seconds > 0.0) {
-    trace.AddCompletedSpan("http.queue", 0.0, queue_seconds);
-  }
   HttpResponse response;
   {
     obs::TraceScope scope(&trace);
+    // The wait for a worker happened before this trace existed; project it
+    // as a span at offset 0 so trace views show queueing next to handling.
+    if (queue_seconds > 0.0) obs::RecordSpan("http.queue", 0.0, queue_seconds);
     response = handler_(request);
   }
   const double total_seconds = trace.ElapsedSeconds();

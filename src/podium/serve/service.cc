@@ -8,39 +8,26 @@
 #include "podium/core/explanation.h"
 #include "podium/obs/trace.h"
 #include "podium/shard/sharded_selector.h"
-#include "podium/telemetry/phase.h"
 #include "podium/telemetry/telemetry.h"
-#include "podium/util/stopwatch.h"
 
 namespace podium::serve {
 
 namespace {
 
+/// Request outcome counters. Timings are the select / cache.lookup /
+/// admission / run spans' histograms.
 struct ServeMetrics {
   telemetry::Counter& requests;
   telemetry::Counter& errors;
   telemetry::Counter& rejected;
   telemetry::Counter& deadline_exceeded;
-  telemetry::Histogram& latency;
-  telemetry::Histogram& queue_wait;
-  telemetry::Histogram& run_time;
-  telemetry::Histogram& cache_lookup;
 
   static ServeMetrics& Get() {
     auto& registry = telemetry::MetricsRegistry::Global();
-    static ServeMetrics metrics{
-        registry.counter("serve.requests"),
-        registry.counter("serve.errors"),
-        registry.counter("serve.rejected"),
-        registry.counter("serve.deadline_exceeded"),
-        registry.histogram("serve.latency_seconds",
-                           telemetry::DefaultLatencyBounds()),
-        registry.histogram("serve.queue_seconds",
-                           telemetry::DefaultLatencyBounds()),
-        registry.histogram("serve.run_seconds",
-                           telemetry::DefaultLatencyBounds()),
-        registry.histogram("serve.cache.lookup_seconds",
-                           telemetry::DefaultLatencyBounds())};
+    static ServeMetrics metrics{registry.counter("serve.requests"),
+                                registry.counter("serve.errors"),
+                                registry.counter("serve.rejected"),
+                                registry.counter("serve.deadline_exceeded")};
     return metrics;
   }
 };
@@ -92,13 +79,11 @@ void SelectionService::SwapSnapshot(std::shared_ptr<const Snapshot> snapshot) {
   holder_.Swap(std::move(snapshot));
 }
 
-Status SelectionService::Admit(std::int64_t deadline_ms,
-                               double* queue_seconds) {
+Status SelectionService::Admit(std::int64_t deadline_ms) {
   const auto start = std::chrono::steady_clock::now();
   util::MutexLock lock(mutex_);
   if (running_ < options_.max_concurrency) {
     ++running_;
-    *queue_seconds = 0.0;
     return Status::Ok();
   }
   if (waiting_ >= options_.max_queue_depth) {
@@ -120,9 +105,6 @@ Status SelectionService::Admit(std::int64_t deadline_ms,
     while (running_ >= options_.max_concurrency) slot_free_.Wait(lock);
   }
   --waiting_;
-  *queue_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
   if (!admitted) {
     if (telemetry::Enabled()) ServeMetrics::Get().deadline_exceeded.Add();
     return Status::DeadlineExceeded(
@@ -143,7 +125,6 @@ void SelectionService::Release() {
 Result<ServiceReply> SelectionService::Select(const SelectionRequest& request) {
   const bool telemetry_on = telemetry::Enabled();
   if (telemetry_on) ServeMetrics::Get().requests.Add();
-  util::Stopwatch total;
   obs::Span select_span("select");
 
   const std::shared_ptr<const Snapshot> snapshot = holder_.Current();
@@ -158,17 +139,10 @@ Result<ServiceReply> SelectionService::Select(const SelectionRequest& request) {
   const std::string key = CanonicalRequestKey(snapshot->generation(), request);
   {
     obs::Span lookup_span("cache.lookup");
-    util::Stopwatch lookup;
     std::optional<std::string> cached = cache_.Get(key);
-    if (telemetry_on) {
-      ServeMetrics::Get().cache_lookup.Observe(lookup.ElapsedSeconds());
-    }
     if (cached.has_value()) {
       reply.body = std::move(*cached);
       reply.cache_hit = true;
-      if (telemetry_on) {
-        ServeMetrics::Get().latency.Observe(total.ElapsedSeconds());
-      }
       return reply;
     }
   }
@@ -192,7 +166,9 @@ Result<ServiceReply> SelectionService::Select(const SelectionRequest& request) {
                                                        -> Result<std::string> {
     Status admitted = [&] {
       obs::Span admission_span("admission");
-      return Admit(deadline_ms, &reply.queue_seconds);
+      Status status = Admit(deadline_ms);
+      reply.queue_seconds = admission_span.ElapsedSeconds();
+      return status;
     }();
     if (!admitted.ok()) return admitted;
     // Exception-safe release: selector code returns Status, but anything
@@ -203,29 +179,21 @@ Result<ServiceReply> SelectionService::Select(const SelectionRequest& request) {
     } slot_guard{this};
     if (options_.post_admission_hook) options_.post_admission_hook();
 
-    util::Stopwatch run;
     Result<std::string> body = [&] {
       obs::Span run_span("run");
-      return RunSelection(*snapshot, request);
+      Result<std::string> run = RunSelection(*snapshot, request);
+      reply.run_seconds = run_span.ElapsedSeconds();
+      return run;
     }();
-    reply.run_seconds = run.ElapsedSeconds();
-
-    if (telemetry_on) {
-      ServeMetrics& metrics = ServeMetrics::Get();
-      metrics.queue_wait.Observe(reply.queue_seconds);
-      metrics.run_time.Observe(reply.run_seconds);
-    }
     if (body.ok()) cache_.Put(key, body.value());
     return body;
   });
 
   reply.coalesced = flight.shared;
-  if (telemetry_on) {
-    ServeMetrics& metrics = ServeMetrics::Get();
-    metrics.latency.Observe(total.ElapsedSeconds());
-    if (!flight.status.ok()) metrics.errors.Add();
+  if (!flight.status.ok()) {
+    if (telemetry_on) ServeMetrics::Get().errors.Add();
+    return flight.status;
   }
-  if (!flight.status.ok()) return flight.status;
   reply.body = std::move(flight.value);
   return reply;
 }
@@ -312,8 +280,6 @@ SelectionService::PooledInstance(const Snapshot& snapshot,
 
 Result<std::string> SelectionService::RunSelection(
     const Snapshot& snapshot, const SelectionRequest& request) {
-  telemetry::PhaseSpan span("serve.select");
-
   SelectionOutcome outcome;
   outcome.snapshot_generation = snapshot.generation();
   outcome.request = request;

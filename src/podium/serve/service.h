@@ -50,6 +50,8 @@ struct ServiceReply {
   /// True when this request joined another identical in-flight request and
   /// shared its result instead of running its own selection.
   bool coalesced = false;
+  /// The request's admission and run span durations; 0 on cache hits and
+  /// for coalesced followers.
   double queue_seconds = 0.0;
   double run_seconds = 0.0;
   std::uint64_t snapshot_generation = 0;
@@ -93,7 +95,7 @@ class SelectionService {
 
   /// Blocks until a slot frees, the deadline passes, or the queue
   /// overflows. On success the caller owns one slot and must Release().
-  [[nodiscard]] Status Admit(std::int64_t deadline_ms, double* queue_seconds)
+  [[nodiscard]] Status Admit(std::int64_t deadline_ms)
       PODIUM_EXCLUDES(mutex_);
   void Release() PODIUM_EXCLUDES(mutex_);
 

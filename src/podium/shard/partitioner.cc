@@ -3,7 +3,7 @@
 #include <string>
 #include <utility>
 
-#include "podium/telemetry/phase.h"
+#include "podium/obs/trace.h"
 #include "podium/util/thread_pool.h"
 
 namespace podium::shard {
@@ -64,7 +64,7 @@ Result<PartitionPlan> Partitioner::Partition(
   if (options.num_shards == 0) {
     return Status::InvalidArgument("num_shards must be >= 1");
   }
-  telemetry::PhaseSpan span("shard.partition");
+  obs::Span span("shard.partition");
 
   const std::size_t num_users = repository.user_count();
   const std::size_t k = options.num_shards;
@@ -79,7 +79,7 @@ Result<PartitionPlan> Partitioner::Partition(
   std::vector<std::vector<std::vector<UserId>>> chunk_buckets(
       user_plan.num_chunks);
   util::ParallelFor(
-      "shard.partition.assign", num_users,
+      num_users,
       [&](std::size_t begin, std::size_t end, std::size_t chunk) {
         auto& local = chunk_buckets[chunk];
         local.resize(k);
@@ -94,7 +94,7 @@ Result<PartitionPlan> Partitioner::Partition(
       },
       kUserGrain);
   util::ParallelFor(
-      "shard.partition.gather", k,
+      k,
       [&](std::size_t begin, std::size_t end, std::size_t) {
         for (std::size_t s = begin; s < end; ++s) {
           std::size_t total = 0;

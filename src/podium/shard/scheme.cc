@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "podium/telemetry/phase.h"
+#include "podium/obs/trace.h"
 #include "podium/util/thread_pool.h"
 
 namespace podium::shard {
@@ -17,7 +17,7 @@ constexpr std::size_t kUserGrain = 256;
 
 Result<GroupScheme> BuildGroupScheme(const ProfileRepository& repository,
                                      const GroupingOptions& options) {
-  telemetry::PhaseSpan span("shard.scheme");
+  obs::Span span("shard.scheme");
   Result<std::unique_ptr<bucketing::Bucketizer>> bucketizer =
       bucketing::MakeBucketizer(options.bucket_method);
   if (!bucketizer.ok()) return bucketizer.status();
@@ -36,7 +36,7 @@ Result<GroupScheme> BuildGroupScheme(const ProfileRepository& repository,
   std::vector<std::vector<std::vector<double>>> chunk_scores(
       user_plan.num_chunks);
   util::ParallelFor(
-      "shard.scheme.collect", num_users,
+      num_users,
       [&](std::size_t begin, std::size_t end, std::size_t chunk) {
         auto& local = chunk_scores[chunk];
         local.resize(num_properties);
@@ -49,7 +49,7 @@ Result<GroupScheme> BuildGroupScheme(const ProfileRepository& repository,
       kUserGrain);
   std::vector<std::vector<double>> scores(num_properties);
   util::ParallelFor(
-      "shard.scheme.merge", num_properties,
+      num_properties,
       [&](std::size_t begin, std::size_t end, std::size_t) {
         for (PropertyId p = begin; p < end; ++p) {
           std::size_t total = 0;
@@ -82,7 +82,7 @@ Result<GroupScheme> BuildGroupScheme(const ProfileRepository& repository,
   // Build's per-chunk instances).
   std::vector<Status> bucket_errors(num_properties);
   util::ParallelFor(
-      "shard.scheme.bucketize", num_properties,
+      num_properties,
       [&](std::size_t begin, std::size_t end, std::size_t) {
         const auto local_bucketizer =
             bucketing::MakeBucketizer(options.bucket_method);
@@ -130,7 +130,7 @@ Result<GroupScheme> BuildGroupScheme(const ProfileRepository& repository,
   const std::size_t num_slots = provisional_defs.size();
   std::vector<std::vector<std::uint64_t>> chunk_counts(user_plan.num_chunks);
   util::ParallelFor(
-      "shard.scheme.count", num_users,
+      num_users,
       [&](std::size_t begin, std::size_t end, std::size_t chunk) {
         auto& local = chunk_counts[chunk];
         local.resize(num_slots);

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "podium/obs/trace.h"
-#include "podium/telemetry/phase.h"
 #include "podium/telemetry/telemetry.h"
 #include "podium/util/stopwatch.h"
 #include "podium/util/thread_pool.h"
@@ -36,7 +35,6 @@ Result<ShardedSelection> ShardedSelector::Select(
     return Status::InvalidArgument("budget must be positive");
   }
   obs::Span select_span("shard.select");
-  telemetry::PhaseSpan phase("shard.select");
   const std::size_t k = snapshot.shard_count();
 
   ShardedSelection result;
@@ -55,8 +53,12 @@ Result<ShardedSelection> ShardedSelector::Select(
   std::vector<Selection> pools(k);
   std::vector<Status> errors(k);
   util::ParallelFor(
-      "shard.select.fanout", k,
+      k,
       [&](std::size_t begin, std::size_t end, std::size_t) {
+        // Whichever thread runs a shard, its greedy spans stay out of the
+        // request trace (they still reach the span histograms); the shard
+        // shows up there as one shard.round1 span, recorded below.
+        obs::TraceScope no_trace(nullptr);
         for (std::size_t s = begin; s < end; ++s) {
           util::Stopwatch watch;
           const ShardSnapshot& shard = snapshot.shard(s);
@@ -78,10 +80,9 @@ Result<ShardedSelection> ShardedSelector::Select(
   for (std::size_t s = 0; s < k; ++s) {
     if (!errors[s].ok()) return errors[s];
     result.pool_sizes[s] = pools[s].users.size();
-    if (trace != nullptr) {
-      trace->AddCompletedSpan("shard.round1." + std::to_string(s),
-                              fanout_start, result.shard_seconds[s]);
-    }
+    obs::RecordSpan("shard.round1", fanout_start, result.shard_seconds[s],
+                    {{"shard", static_cast<double>(s)},
+                     {"pool", static_cast<double>(result.pool_sizes[s])}});
   }
 
   // Union the pools, sorted by ascending global id.
@@ -104,10 +105,8 @@ Result<ShardedSelection> ShardedSelector::Select(
   // shard-local CSR (whose group ids ARE the global ids); gains are
   // maintained by retirement-style decrements — exact, because Iden/LBS
   // weights are integers and every partial sum stays below 2^52.
-  util::Stopwatch merge_watch;
   {
     obs::Span merge_span("shard.merge");
-    telemetry::PhaseSpan merge_phase("shard.merge");
     const std::vector<double>& weights = snapshot.weights();
     std::vector<std::uint32_t> remaining = snapshot.coverage();
     const std::size_t num_groups = remaining.size();
@@ -162,18 +161,16 @@ Result<ShardedSelection> ShardedSelector::Select(
                                             coverage[g]));
     }
     result.merged.score = score;
+    result.merge_seconds = merge_span.ElapsedSeconds();
   }
-  result.merge_seconds = merge_watch.ElapsedSeconds();
 
   if (telemetry::Enabled()) {
     auto& registry = telemetry::MetricsRegistry::Global();
     registry.counter("shard.selects").Add();
     registry.counter("shard.merge_candidates")
         .Add(static_cast<std::uint64_t>(result.candidate_count));
-    auto& skew = registry.histogram("shard.round1_seconds");
-    for (std::size_t s = 0; s < k; ++s) {
-      skew.Observe(result.shard_seconds[s]);
-      if (k <= kMaxLabeledShards) {
+    if (k <= kMaxLabeledShards) {
+      for (std::size_t s = 0; s < k; ++s) {
         registry
             .gauge("shard.pool_users{shard=\"" + std::to_string(s) + "\"}")
             .Set(static_cast<double>(result.pool_sizes[s]));

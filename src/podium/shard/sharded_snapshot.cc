@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "podium/telemetry/phase.h"
+#include "podium/obs/trace.h"
 #include "podium/telemetry/telemetry.h"
 #include "podium/util/thread_pool.h"
 
@@ -74,7 +74,7 @@ std::size_t ShardSnapshot::MemoryBytes() const {
 Result<std::shared_ptr<const ShardedSnapshot>> ShardedSnapshot::Build(
     const ProfileRepository& repository, const InstanceOptions& instance,
     const ShardOptions& options, std::uint64_t generation) {
-  telemetry::PhaseSpan span("shard.snapshot.build");
+  obs::Span span("shard.snapshot.build");
   if (instance.budget == 0) {
     return Status::InvalidArgument("budget must be positive");
   }
@@ -113,7 +113,7 @@ Result<std::shared_ptr<const ShardedSnapshot>> ShardedSnapshot::Build(
   PartitionPlan& users = plan.value();
   std::vector<Status> errors(k);
   util::ParallelFor(
-      "shard.snapshot.shards", k,
+      k,
       [&](std::size_t begin, std::size_t end, std::size_t) {
         for (std::size_t s = begin; s < end; ++s) {
           errors[s] = BuildShard(

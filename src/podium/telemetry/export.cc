@@ -3,28 +3,12 @@
 #include <utility>
 
 #include "podium/json/writer.h"
-#include "podium/telemetry/phase.h"
 #include "podium/telemetry/telemetry.h"
-#include "podium/telemetry/trace.h"
 #include "podium/util/string_util.h"
 
 namespace podium::telemetry {
 
 namespace {
-
-json::Value PhaseToJson(const PhaseStats& node) {
-  json::Object object;
-  object.Set("name", json::Value(node.name));
-  object.Set("seconds", json::Value(node.seconds));
-  object.Set("count", json::Value(node.count));
-  json::Array children;
-  children.reserve(node.children.size());
-  for (const PhaseStats& child : node.children) {
-    children.push_back(PhaseToJson(child));
-  }
-  object.Set("children", json::Value(std::move(children)));
-  return json::Value(std::move(object));
-}
 
 json::Value HistogramToJson(const HistogramSnapshot& histogram) {
   json::Object object;
@@ -39,38 +23,6 @@ json::Value HistogramToJson(const HistogramSnapshot& histogram) {
   object.Set("count", json::Value(static_cast<double>(histogram.count)));
   object.Set("sum", json::Value(histogram.sum));
   return json::Value(std::move(object));
-}
-
-json::Value TraceEventToJson(const GreedyRoundEvent& event) {
-  json::Object object;
-  object.Set("run", json::Value(static_cast<double>(event.run)));
-  object.Set("round", json::Value(static_cast<double>(event.round)));
-  object.Set("user", json::Value(static_cast<double>(event.user)));
-  object.Set("gain", json::Value(event.gain));
-  object.Set("gain_secondary", json::Value(event.gain_secondary));
-  object.Set("heap_pops", json::Value(static_cast<double>(event.heap_pops)));
-  object.Set("stale_reinserts",
-             json::Value(static_cast<double>(event.stale_reinserts)));
-  object.Set("retired_links",
-             json::Value(static_cast<double>(event.retired_links)));
-  object.Set("retired_groups",
-             json::Value(static_cast<double>(event.retired_groups)));
-  return json::Value(std::move(object));
-}
-
-void RenderPhase(const PhaseStats& node, int depth, double parent_seconds,
-                 std::string& out) {
-  out += util::StringPrintf("%*s%-*s %10.6fs  x%-6llu", depth * 2, "",
-                            36 - depth * 2, node.name.c_str(), node.seconds,
-                            static_cast<unsigned long long>(node.count));
-  if (parent_seconds > 0.0) {
-    out += util::StringPrintf("  %5.1f%%", 100.0 * node.seconds /
-                                               parent_seconds);
-  }
-  out += "\n";
-  for (const PhaseStats& child : node.children) {
-    RenderPhase(child, depth + 1, node.seconds, out);
-  }
 }
 
 }  // namespace
@@ -102,13 +54,6 @@ json::Value TelemetryToJson() {
   }
   root.Set("histograms", json::Value(std::move(histograms)));
 
-  root.Set("phases", PhaseToJson(PhaseTreeSnapshot()));
-
-  json::Array trace;
-  for (const GreedyRoundEvent& event : GreedyTrace::Snapshot()) {
-    trace.push_back(TraceEventToJson(event));
-  }
-  root.Set("greedy_trace", json::Value(std::move(trace)));
   return json::Value(std::move(root));
 }
 
@@ -119,14 +64,20 @@ Status WriteTelemetryJson(const std::string& path) {
 }
 
 std::string RenderTimingSummary() {
-  std::string out = "phase tree (wall time, completions, % of parent):\n";
-  const PhaseStats root = PhaseTreeSnapshot();
-  for (const PhaseStats& child : root.children) {
-    RenderPhase(child, 0, 0.0, out);
-  }
-  if (root.children.empty()) out += "  (no phases recorded)\n";
-
   const MetricsSnapshot metrics = MetricsRegistry::Global().Snapshot();
+  std::string out = "spans (completions, total wall seconds):\n";
+  bool any_span = false;
+  for (const auto& [name, histogram] : metrics.histograms) {
+    const std::string_view span = SpanNameOf(name);
+    if (span.empty() || histogram.count == 0) continue;
+    any_span = true;
+    out += util::StringPrintf("  %-36.*s x%-8llu %12.6fs\n",
+                              static_cast<int>(span.size()), span.data(),
+                              static_cast<unsigned long long>(histogram.count),
+                              histogram.sum);
+  }
+  if (!any_span) out += "  (no spans recorded)\n";
+
   bool any_counter = false;
   for (const auto& [name, value] : metrics.counters) {
     if (value == 0) continue;
@@ -143,10 +94,6 @@ std::string RenderTimingSummary() {
   return out;
 }
 
-void ResetAllTelemetry() {
-  MetricsRegistry::Global().Reset();
-  ResetPhaseTree();
-  GreedyTrace::Clear();
-}
+void ResetAllTelemetry() { MetricsRegistry::Global().Reset(); }
 
 }  // namespace podium::telemetry

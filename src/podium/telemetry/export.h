@@ -12,35 +12,30 @@ namespace podium::telemetry {
 /// (removed/renamed key, changed meaning); purely additive changes keep
 /// the version. The schema is documented in DESIGN.md §"Telemetry &
 /// profiling".
-inline constexpr int kTelemetrySchemaVersion = 1;
+inline constexpr int kTelemetrySchemaVersion = 2;
 
-/// Serializes the current telemetry state — counters, gauges, histograms,
-/// the phase tree, and the greedy trace — as one JSON document:
+/// Serializes the registry — counters, gauges and histograms, span
+/// timings included as `span.seconds{span="<name>"}` — as one JSON
+/// document:
 ///
 /// {
-///   "schema": {"name": "podium.telemetry", "version": 1},
+///   "schema": {"name": "podium.telemetry", "version": 2},
 ///   "counters": {"greedy.rounds": 8, ...},
 ///   "gauges": {"groups.count": 23, ...},
 ///   "histograms": {"<name>": {"bounds": [...], "counts": [...],
-///                             "count": N, "sum": S}},
-///   "phases": {"name": "process", "seconds": S, "count": N,
-///              "children": [...]},
-///   "greedy_trace": [{"run": 0, "round": 0, "user": 3, "gain": 12.5,
-///                     "gain_secondary": 0, "heap_pops": 1,
-///                     "stale_reinserts": 0, "retired_links": 4,
-///                     "retired_groups": 2}, ...]
+///                             "count": N, "sum": S}}
 /// }
 json::Value TelemetryToJson();
 
 /// Writes TelemetryToJson() to `path`, pretty-printed.
 Status WriteTelemetryJson(const std::string& path);
 
-/// Human-readable timing summary: the phase tree with per-node totals and
-/// call counts, followed by the non-zero counters. For the CLI's --timing.
+/// Human-readable timing summary for the CLI's --timing: a flat table of
+/// span name, completions and total seconds read from the span
+/// histograms, followed by the non-zero counters and the gauges.
 std::string RenderTimingSummary();
 
-/// Clears every telemetry store: metrics to zero, phase tree times to
-/// zero, greedy trace emptied. For tests and repeated benchmark runs.
+/// Zeroes every metric. For tests and repeated benchmark runs.
 void ResetAllTelemetry();
 
 }  // namespace podium::telemetry

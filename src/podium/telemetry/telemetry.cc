@@ -16,6 +16,9 @@ void SetEnabled(bool enabled) {
 
 namespace {
 
+constexpr std::string_view kSpanPrefix = "span.seconds{span=\"";
+constexpr std::string_view kSpanSuffix = "\"}";
+
 /// fetch_add for atomic<double> via CAS (the fetch_add overload for
 /// floating point is C++20 but not universally lock-free; this always is
 /// on platforms with a 64-bit CAS).
@@ -63,6 +66,23 @@ void Histogram::Reset() {
 
 std::vector<double> DefaultLatencyBounds() {
   return {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0};
+}
+
+std::string SpanMetricName(std::string_view span) {
+  std::string name(kSpanPrefix);
+  name += span;
+  name += kSpanSuffix;
+  return name;
+}
+
+std::string_view SpanNameOf(std::string_view metric) {
+  if (metric.size() <= kSpanPrefix.size() + kSpanSuffix.size() ||
+      !metric.starts_with(kSpanPrefix) || !metric.ends_with(kSpanSuffix)) {
+    return {};
+  }
+  metric.remove_prefix(kSpanPrefix.size());
+  metric.remove_suffix(kSpanSuffix.size());
+  return metric;
 }
 
 MetricsRegistry& MetricsRegistry::Global() {

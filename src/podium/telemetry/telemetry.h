@@ -86,6 +86,14 @@ class Histogram {
 /// Default histogram bounds for wall-time observations, in seconds.
 std::vector<double> DefaultLatencyBounds();
 
+/// The registry histogram obs::Span observes span `span`'s durations into:
+/// span.seconds{span="<span>"} (the Prometheus `span_seconds` family).
+std::string SpanMetricName(std::string_view span);
+
+/// The inverse of SpanMetricName: the span name, or empty for any other
+/// metric name.
+std::string_view SpanNameOf(std::string_view metric);
+
 struct HistogramSnapshot {
   std::vector<double> bounds;
   std::vector<std::uint64_t> counts;  // bounds.size() + 1 entries

@@ -4,16 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <memory>
-#include <string>
 
-// Known layering wart: the pool instruments itself (phase timers, the
-// thread-count gauge), which points util/ up at telemetry/. Inverting it
-// means an observer-callback seam nothing else needs yet; tolerated here,
-// and only here, until a second util/ client wants telemetry.
-// podium-lint: allow(layer-violation)
-#include "podium/telemetry/phase.h"
-// podium-lint: allow(layer-violation)
-#include "podium/telemetry/telemetry.h"
 #include "podium/util/mutex.h"
 #include "podium/util/parse.h"
 #include "podium/util/thread_annotations.h"
@@ -177,10 +168,6 @@ ThreadPool& ThreadPool::Global() {
   MutexLock lock(g_global_mutex);
   if (!g_global_pool) {
     g_global_pool = std::make_unique<ThreadPool>(ResolveThreadCount());
-    if (telemetry::Enabled()) {
-      telemetry::MetricsRegistry::Global().gauge("parallel.threads").Set(
-          static_cast<double>(g_global_pool->thread_count()));
-    }
   }
   return *g_global_pool;
 }
@@ -195,28 +182,5 @@ std::size_t ThreadPool::GlobalThreadCount() {
   MutexLock lock(g_global_mutex);
   return g_global_pool ? g_global_pool->thread_count() : ResolveThreadCount();
 }
-
-namespace internal {
-
-void DispatchParallelFor(
-    std::string_view name, std::size_t n, std::size_t grain,
-    const ChunkPlan& plan,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
-  ThreadPool& pool = ThreadPool::Global();
-  if (!telemetry::Enabled()) {
-    pool.ParallelFor(n, grain, body);
-    return;
-  }
-  const std::string prefix = "parallel." + std::string(name);
-  auto& registry = telemetry::MetricsRegistry::Global();
-  registry.counter(prefix + ".invocations").Add();
-  registry.gauge(prefix + ".threads")
-      .Set(static_cast<double>(std::min(pool.thread_count(), plan.num_chunks)));
-  registry.gauge(prefix + ".chunks").Set(static_cast<double>(plan.num_chunks));
-  telemetry::PhaseSpan span(prefix);
-  pool.ParallelFor(n, grain, body);
-}
-
-}  // namespace internal
 
 }  // namespace podium::util

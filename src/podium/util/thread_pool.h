@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -51,8 +50,7 @@ bool InParallelRegion();
 ///
 /// Library code should not use this class directly; call the free
 /// ParallelFor() below, which short-circuits to an inline serial loop for
-/// single-chunk ranges, single-thread pools and nested regions, and
-/// records telemetry when enabled.
+/// single-chunk ranges, single-thread pools and nested regions.
 class ThreadPool {
  public:
   /// Spawns `thread_count - 1` workers (the calling thread participates
@@ -103,24 +101,13 @@ class ThreadPool {
   bool stopping_ PODIUM_GUARDED_BY(mutex_) = false;
 };
 
-namespace internal {
-/// Telemetry + dispatch behind the ParallelFor template: records the
-/// per-phase utilization gauges and runs the loop on the global pool.
-void DispatchParallelFor(
-    std::string_view name, std::size_t n, std::size_t grain,
-    const ChunkPlan& plan,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
-}  // namespace internal
-
 /// Chunked parallel loop over [0, n) on the global pool.
 /// body(begin, end, chunk) must not touch state written by other chunks;
 /// results keyed by chunk index (or by element index) are deterministic.
-/// `name` labels the loop in telemetry ("parallel.<name>.*" gauges and a
-/// "parallel.<name>" phase span). Single-chunk ranges, 1-thread pools and
-/// nested calls run inline on the caller with zero dispatch cost.
+/// Single-chunk ranges, 1-thread pools and nested calls run inline on the
+/// caller with zero dispatch cost.
 template <typename Body>
-void ParallelFor(std::string_view name, std::size_t n, Body&& body,
-                 std::size_t grain = 1) {
+void ParallelFor(std::size_t n, Body&& body, std::size_t grain = 1) {
   if (n == 0) return;
   const ChunkPlan plan = PlanChunks(n, grain);
   if (plan.num_chunks == 1 || InParallelRegion() ||
@@ -130,9 +117,9 @@ void ParallelFor(std::string_view name, std::size_t n, Body&& body,
     }
     return;
   }
-  internal::DispatchParallelFor(name, n, grain, plan,
-                                std::function<void(std::size_t, std::size_t,
-                                                   std::size_t)>(body));
+  ThreadPool::Global().ParallelFor(
+      n, grain,
+      std::function<void(std::size_t, std::size_t, std::size_t)>(body));
 }
 
 }  // namespace podium::util

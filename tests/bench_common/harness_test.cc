@@ -117,8 +117,8 @@ TEST(HarnessTest, RunSelectorsSplitsSetupFromSelection) {
 
 // The exported document's layout is a stable, versioned schema; this is
 // the golden check for its skeleton (top-level keys, schema header, and
-// per-trace-event keys). Schema changes must update kTelemetrySchemaVersion
-// and DESIGN.md in the same commit as this test.
+// the keys of a span histogram). Schema changes must update
+// kTelemetrySchemaVersion and DESIGN.md in the same commit as this test.
 TEST(HarnessTest, ExportedTelemetryJsonMatchesGoldenSchema) {
   telemetry::SetEnabled(true);
   telemetry::ResetAllTelemetry();
@@ -134,8 +134,8 @@ TEST(HarnessTest, ExportedTelemetryJsonMatchesGoldenSchema) {
   ASSERT_TRUE(parsed.value().is_object());
   const json::Object& root = parsed.value().AsObject();
 
-  const std::vector<std::string> golden_keys = {
-      "schema", "counters", "gauges", "histograms", "phases", "greedy_trace"};
+  const std::vector<std::string> golden_keys = {"schema", "counters",
+                                                "gauges", "histograms"};
   ASSERT_EQ(root.size(), golden_keys.size());
   for (std::size_t i = 0; i < golden_keys.size(); ++i) {
     EXPECT_EQ(root.entries()[i].first, golden_keys[i]);
@@ -144,17 +144,22 @@ TEST(HarnessTest, ExportedTelemetryJsonMatchesGoldenSchema) {
   EXPECT_EQ(schema.Find("name")->AsString(), "podium.telemetry");
   EXPECT_EQ(schema.Find("version")->AsNumber(),
             telemetry::kTelemetrySchemaVersion);
-  ASSERT_FALSE(root.Find("greedy_trace")->AsArray().empty());
-  const json::Object& event =
-      root.Find("greedy_trace")->AsArray()[0].AsObject();
-  const std::vector<std::string> golden_event_keys = {
-      "run",       "round",           "user",
-      "gain",      "gain_secondary",  "heap_pops",
-      "stale_reinserts", "retired_links", "retired_groups"};
-  ASSERT_EQ(event.size(), golden_event_keys.size());
-  for (std::size_t i = 0; i < golden_event_keys.size(); ++i) {
-    EXPECT_EQ(event.entries()[i].first, golden_event_keys[i]);
+  // Every selector's span is exported as a histogram.
+  const json::Object& histograms = root.Find("histograms")->AsObject();
+  for (const char* span : {"select.Podium", "select.Random",
+                           "select.Clustering", "select.Distance"}) {
+    ASSERT_NE(histograms.Find(telemetry::SpanMetricName(span)), nullptr)
+        << span;
   }
+  const json::Object& rounds =
+      histograms.Find(telemetry::SpanMetricName("greedy.rounds"))->AsObject();
+  const std::vector<std::string> golden_histogram_keys = {"bounds", "counts",
+                                                          "count", "sum"};
+  ASSERT_EQ(rounds.size(), golden_histogram_keys.size());
+  for (std::size_t i = 0; i < golden_histogram_keys.size(); ++i) {
+    EXPECT_EQ(rounds.entries()[i].first, golden_histogram_keys[i]);
+  }
+  EXPECT_EQ(rounds.Find("count")->AsNumber(), 1.0);
   std::remove(path.c_str());
   telemetry::SetEnabled(false);
   telemetry::ResetAllTelemetry();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -304,6 +305,22 @@ TEST(LayerViolationRule, FlagsModulesMissingFromTheDag) {
   EXPECT_EQ(findings[0].rule, "layer-violation");
   EXPECT_NE(findings[0].message.find("not in the declared module DAG"),
             std::string::npos);
+}
+
+// The DAG holds without exceptions under src/: an edge a module needs is
+// declared in kModuleDag, never suppressed in place.
+TEST(LayerViolationRule, NoSuppressionsRemainUnderSrc) {
+  const std::filesystem::path src =
+      std::filesystem::path(PODIUM_SOURCE_DIR) / "src";
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(src)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path());
+    std::stringstream text;
+    text << in.rdbuf();
+    EXPECT_EQ(text.str().find("allow(layer-violation)"), std::string::npos)
+        << entry.path();
+  }
 }
 
 // --- eintr-retry -----------------------------------------------------------

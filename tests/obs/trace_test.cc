@@ -8,6 +8,9 @@
 #include <string>
 #include <vector>
 
+#include "podium/telemetry/export.h"
+#include "podium/telemetry/telemetry.h"
+
 namespace podium::obs {
 namespace {
 
@@ -138,7 +141,54 @@ TEST(SpanTest, RecordsAgainstTheCurrentTrace) {
 
 TEST(SpanTest, IsANoOpWithoutACurrentTrace) {
   ASSERT_EQ(CurrentTrace(), nullptr);
+  ASSERT_FALSE(telemetry::Enabled());
   Span span("orphan");  // must not crash or record anywhere
+  span.SetAttribute("ignored", 1.0);
+  EXPECT_GE(span.ElapsedSeconds(), 0.0);
+}
+
+TEST(SpanTest, AttributesAndCompletedSpansLandInTheTrace) {
+  TraceContext trace(TraceId::Generate());
+  {
+    TraceScope scope(&trace);
+    Span run("run");
+    run.SetAttribute("rounds", 16.0);
+    RecordSpan("shard.round1", 0.5, 0.25, {{"shard", 3.0}, {"pool", 64.0}});
+  }
+  ASSERT_EQ(trace.spans().size(), 2u);
+  const TraceSpan& run = trace.spans()[0];
+  ASSERT_EQ(run.attributes.size(), 1u);
+  EXPECT_EQ(run.attributes[0].key, "rounds");
+  EXPECT_EQ(run.attributes[0].value, 16.0);
+  // A recorded span nests under the innermost open span, as measured.
+  const TraceSpan& shard = trace.spans()[1];
+  EXPECT_EQ(shard.name, "shard.round1");
+  EXPECT_EQ(shard.parent, 0);
+  EXPECT_EQ(shard.start_seconds, 0.5);
+  EXPECT_EQ(shard.duration_seconds, 0.25);
+  ASSERT_EQ(shard.attributes.size(), 2u);
+  EXPECT_EQ(shard.attributes[1].key, "pool");
+  EXPECT_EQ(shard.attributes[1].value, 64.0);
+}
+
+TEST(SpanTest, FeedsTheSpanHistogramWithOrWithoutATrace) {
+  telemetry::SetEnabled(true);
+  telemetry::ResetAllTelemetry();
+  const telemetry::Histogram& histogram =
+      telemetry::MetricsRegistry::Global().histogram(
+          telemetry::SpanMetricName("test.aggregate"));
+  { Span untraced("test.aggregate"); }
+  RecordSpan("test.aggregate", 0.0, 2.0);
+  TraceContext trace(TraceId::Generate());
+  {
+    TraceScope scope(&trace);
+    Span traced("test.aggregate");
+  }
+  EXPECT_EQ(histogram.Count(), 3u);
+  EXPECT_GE(histogram.Sum(), 2.0);
+  EXPECT_EQ(trace.spans().size(), 1u);
+  telemetry::SetEnabled(false);
+  telemetry::ResetAllTelemetry();
 }
 
 // --- TraceRing -------------------------------------------------------------

@@ -198,7 +198,7 @@ TEST_F(HttpServerTest, MetricsExposeServeCountersAndHistograms) {
   const json::Value* histograms = root.Find("histograms");
   ASSERT_NE(histograms, nullptr);
   const json::Value* latency =
-      histograms->AsObject().Find("serve.latency_seconds");
+      histograms->AsObject().Find(telemetry::SpanMetricName("select"));
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->AsObject().Find("count")->AsNumber(), 2.0);
 }
@@ -295,6 +295,86 @@ TEST_F(HttpServerTest, TracesEndpointReturnsRecordedSpanTrees) {
   EXPECT_NE(std::find(names.begin(), names.end(), "run"), names.end());
 }
 
+// A cache miss's trace explains its own cost: the greedy's phases nest
+// under `run`, and the rounds span carries the run's work counters.
+TEST_F(HttpServerTest, MissTraceReachesIntoTheGreedy) {
+  obs::TraceRing::Global().Clear();
+  const std::string supplied = "fedcba9876543210fedcba9876543210";
+  HttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  auto& links = telemetry::MetricsRegistry::Global().counter(
+      "greedy.retired_links");
+  const std::uint64_t links_before = links.Value();
+  HttpRequest request;
+  request.method = "POST";
+  request.target = "/v1/select";
+  request.body = R"({"budget": 2})";
+  request.headers.emplace_back("X-Podium-Trace-Id", supplied);
+  Result<HttpResponse> reply = client.RoundTrip(request);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  ASSERT_EQ(*reply->FindHeader("X-Podium-Cache"), "miss");
+  const std::uint64_t links_delta = links.Value() - links_before;
+
+  const HttpResponse response = RoundTrip(client, "GET", "/v1/traces");
+  Result<json::Value> body = json::Parse(response.body);
+  ASSERT_TRUE(body.ok()) << body.status();
+  const json::Array* spans = nullptr;
+  for (const json::Value& entry :
+       body->AsObject().Find("traces")->AsArray()) {
+    if (entry.AsObject().Find("trace_id")->AsString() == supplied) {
+      spans = &entry.AsObject().Find("spans")->AsArray();
+    }
+  }
+  ASSERT_NE(spans, nullptr);
+  const auto index_of = [&](const std::string& name) {
+    for (std::size_t i = 0; i < spans->size(); ++i) {
+      if ((*spans)[i].AsObject().Find("name")->AsString() == name) {
+        return static_cast<double>(i);
+      }
+    }
+    ADD_FAILURE() << "no span " << name;
+    return -2.0;
+  };
+  const auto parent_of = [&](const std::string& name) {
+    const double index = index_of(name);
+    if (index < 0) return -2.0;
+    return (*spans)[static_cast<std::size_t>(index)]
+        .AsObject()
+        .Find("parent")
+        ->AsNumber();
+  };
+  EXPECT_EQ(parent_of("greedy.select"), index_of("run"));
+  for (const char* child :
+       {"greedy.setup", "greedy.init", "greedy.rounds", "greedy.score"}) {
+    EXPECT_EQ(parent_of(child), index_of("greedy.select")) << child;
+  }
+  const json::Object& rounds =
+      (*spans)[static_cast<std::size_t>(index_of("greedy.rounds"))]
+          .AsObject();
+  const json::Value* attributes = rounds.Find("attributes");
+  ASSERT_NE(attributes, nullptr);
+  EXPECT_EQ(attributes->AsObject().Find("rounds")->AsNumber(), 2.0);
+  EXPECT_EQ(attributes->AsObject().Find("retired_links")->AsNumber(),
+            static_cast<double>(links_delta));
+
+  // Every span of the trace is aggregated under its own name.
+  const HttpResponse metrics = RoundTrip(client, "GET", "/metrics");
+  Result<json::Value> metrics_body = json::Parse(metrics.body);
+  ASSERT_TRUE(metrics_body.ok()) << metrics_body.status();
+  const json::Object& histograms =
+      metrics_body->AsObject().Find("histograms")->AsObject();
+  const std::string prometheus =
+      RoundTrip(client, "GET", "/metrics?format=prometheus").body;
+  for (const json::Value& span : *spans) {
+    const std::string& name = span.AsObject().Find("name")->AsString();
+    EXPECT_NE(histograms.Find(telemetry::SpanMetricName(name)), nullptr)
+        << name;
+    EXPECT_NE(prometheus.find("span_seconds_count{span=\"" + name + "\"}"),
+              std::string::npos)
+        << name;
+  }
+}
+
 TEST_F(HttpServerTest, TracesEndpointRejectsBadLimit) {
   HttpClient client;
   EXPECT_EQ(RoundTrip(client, "GET", "/v1/traces?limit=banana").status, 400);
@@ -322,9 +402,12 @@ TEST_F(HttpServerTest, PrometheusFormatRendersTextExposition) {
                 "serve_http_request_seconds_bucket{path=\"/v1/select\","
                 "le=\"+Inf\"}"),
             std::string::npos);
-  EXPECT_NE(response.body.find("serve_latency_seconds_sum"),
+  // Span timings form one labeled family.
+  EXPECT_NE(response.body.find("# TYPE span_seconds histogram\n"),
             std::string::npos);
-  EXPECT_NE(response.body.find("serve_latency_seconds_count 1\n"),
+  EXPECT_NE(response.body.find("span_seconds_sum{span=\"select\"}"),
+            std::string::npos);
+  EXPECT_NE(response.body.find("span_seconds_count{span=\"select\"} 1\n"),
             std::string::npos);
 
   // JSON stays the default; unknown formats are rejected.

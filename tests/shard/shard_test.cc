@@ -18,6 +18,7 @@
 #include "podium/core/instance.h"
 #include "podium/core/score.h"
 #include "podium/datagen/generator.h"
+#include "podium/obs/trace.h"
 #include "podium/serve/service.h"
 #include "podium/serve/snapshot.h"
 #include "podium/shard/partitioner.h"
@@ -384,6 +385,53 @@ TEST(ServeShardedTest, SnapshotServiceAndRestrictions) {
   Result<serve::ServiceReply> rebudgeted = service.Select(budget_override);
   ASSERT_FALSE(rebudgeted.ok());
   EXPECT_EQ(rebudgeted.status().code(), StatusCode::kUnimplemented);
+}
+
+// A sharded miss's trace has the same shape whichever threads ran the
+// shards: one shard.round1 span per shard under shard.select, and none of
+// the shards' greedy spans.
+TEST(ServeShardedTest, MissTraceHasOneRound1SpanPerShard) {
+  constexpr std::size_t kShards = 4;
+  const ShardFixture f = ShardFixture::Make(240, 4);
+  serve::SnapshotOptions snapshot_options;
+  snapshot_options.instance = f.options;
+  snapshot_options.shard.num_shards = kShards;
+  Result<std::shared_ptr<const serve::Snapshot>> snapshot =
+      serve::Snapshot::Build(f.data.repository.Clone(), snapshot_options,
+                             /*generation=*/1);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  serve::ServiceOptions service_options;
+  service_options.cache_entries = 0;
+  serve::SelectionService service(snapshot.value(), service_options);
+  const std::size_t prior = util::ThreadPool::GlobalThreadCount();
+  util::ThreadPool::SetGlobalThreadCount(kShards);
+  for (int run = 0; run < 20; ++run) {
+    obs::TraceContext trace(obs::TraceId::Generate());
+    {
+      obs::TraceScope scope(&trace);
+      ASSERT_TRUE(service.Select(serve::SelectionRequest{}).ok());
+    }
+    int select = -1;
+    std::size_t round1 = 0;
+    std::set<double> shards;
+    for (std::size_t i = 0; i < trace.spans().size(); ++i) {
+      const obs::TraceSpan& span = trace.spans()[i];
+      EXPECT_NE(span.name.rfind("greedy.", 0), 0u) << "run " << run;
+      if (span.name == "shard.select") select = static_cast<int>(i);
+      if (span.name != "shard.round1") continue;
+      ++round1;
+      EXPECT_EQ(span.parent, select);
+      ASSERT_EQ(span.attributes.size(), 2u);
+      EXPECT_EQ(span.attributes[0].key, "shard");
+      EXPECT_EQ(span.attributes[1].key, "pool");
+      EXPECT_GT(span.attributes[1].value, 0.0);
+      shards.insert(span.attributes[0].value);
+    }
+    EXPECT_NE(select, -1);
+    EXPECT_EQ(round1, kShards) << "run " << run;
+    EXPECT_EQ(shards, (std::set<double>{0.0, 1.0, 2.0, 3.0})) << "run " << run;
+  }
+  util::ThreadPool::SetGlobalThreadCount(prior);
 }
 
 }  // namespace

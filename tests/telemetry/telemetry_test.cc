@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -11,9 +12,8 @@
 #include "podium/core/instance.h"
 #include "podium/json/parser.h"
 #include "podium/json/writer.h"
+#include "podium/obs/trace.h"
 #include "podium/telemetry/export.h"
-#include "podium/telemetry/phase.h"
-#include "podium/telemetry/trace.h"
 #include "tests/testing/table2.h"
 
 namespace podium::telemetry {
@@ -100,46 +100,55 @@ TEST_F(TelemetryTest, SnapshotIsSortedByName) {
   }
 }
 
-TEST_F(TelemetryTest, NestedPhaseSpansRollUpUnderParent) {
+const Histogram& SpanHistogram(std::string_view span) {
+  return MetricsRegistry::Global().histogram(SpanMetricName(span));
+}
+
+TEST_F(TelemetryTest, SpanMetricNamesRoundTrip) {
+  EXPECT_EQ(SpanMetricName("greedy.rounds"),
+            "span.seconds{span=\"greedy.rounds\"}");
+  EXPECT_EQ(SpanNameOf(SpanMetricName("greedy.rounds")), "greedy.rounds");
+  EXPECT_EQ(SpanNameOf("serve.http.request_seconds{path=\"/metrics\"}"), "");
+  EXPECT_EQ(SpanNameOf("span.seconds"), "");
+}
+
+TEST_F(TelemetryTest, NestedSpansAggregatePerName) {
   {
-    PhaseSpan outer("test.outer");
+    obs::Span outer("test.outer");
     for (int i = 0; i < 2; ++i) {
-      PhaseSpan inner("test.inner");
+      obs::Span inner(std::string("test.") + "inner");  // temporary name
     }
     EXPECT_GE(outer.ElapsedSeconds(), 0.0);
   }
-  {
-    PhaseSpan outer("test.outer");  // same position: accumulates
-  }
-  const PhaseStats tree = PhaseTreeSnapshot();
-  EXPECT_EQ(tree.name, "process");
-  const PhaseStats* outer = FindPhase(tree, "test.outer");
-  ASSERT_NE(outer, nullptr);
-  EXPECT_EQ(outer->count, 2u);
-  ASSERT_EQ(outer->children.size(), 1u);
-  const PhaseStats& inner = outer->children[0];
-  EXPECT_EQ(inner.name, "test.inner");
-  EXPECT_EQ(inner.count, 2u);
+  { obs::Span outer("test.outer"); }
+  const Histogram& outer = SpanHistogram("test.outer");
+  const Histogram& inner = SpanHistogram("test.inner");
+  EXPECT_EQ(outer.Count(), 2u);
+  EXPECT_EQ(inner.Count(), 2u);
   // Children's time is a subset of the parent's.
-  EXPECT_LE(inner.seconds, outer->seconds);
-  EXPECT_DOUBLE_EQ(SumPhaseSeconds(tree, "test.outer"), outer->seconds);
+  EXPECT_LE(inner.Sum(), outer.Sum());
 }
 
-TEST_F(TelemetryTest, ResetPrunesPhaseTreeSnapshot) {
-  { PhaseSpan span("test.reset"); }
-  ASSERT_NE(FindPhase(PhaseTreeSnapshot(), "test.reset"), nullptr);
-  ResetPhaseTree();
-  EXPECT_EQ(FindPhase(PhaseTreeSnapshot(), "test.reset"), nullptr);
+TEST_F(TelemetryTest, ResetZeroesSpanHistograms) {
+  { obs::Span span("test.reset"); }
+  ASSERT_EQ(SpanHistogram("test.reset").Count(), 1u);
+  ResetAllTelemetry();
+  EXPECT_EQ(SpanHistogram("test.reset").Count(), 0u);
+  EXPECT_EQ(SpanHistogram("test.reset").Sum(), 0.0);
 }
 
 TEST_F(TelemetryTest, DisabledSpanRecordsNothing) {
   SetEnabled(false);
   {
-    PhaseSpan span("test.disabled");
-    EXPECT_DOUBLE_EQ(span.ElapsedSeconds(), 0.0);
+    obs::Span span("test.disabled");
+    EXPECT_GE(span.ElapsedSeconds(), 0.0);
   }
+  obs::RecordSpan("test.disabled", 0.0, 1.0);
   SetEnabled(true);
-  EXPECT_EQ(FindPhase(PhaseTreeSnapshot(), "test.disabled"), nullptr);
+  for (const auto& [name, histogram] :
+       MetricsRegistry::Global().Snapshot().histograms) {
+    EXPECT_NE(SpanNameOf(name), "test.disabled");
+  }
 }
 
 /// Shared repository: instances keep a pointer into it, so it must outlive
@@ -159,92 +168,160 @@ DiversificationInstance MakeInstance(std::size_t budget) {
   return std::move(instance).value();
 }
 
-std::vector<GreedyRoundEvent> RunTracedGreedy(GreedyMode mode,
-                                              std::size_t budget,
-                                              Selection* selection_out) {
-  GreedyTrace::Clear();
+Selection RunGreedy(GreedyMode mode, std::size_t budget) {
   GreedyOptions options;
   options.mode = mode;
   const DiversificationInstance instance = MakeInstance(budget);
   Result<Selection> selection =
       GreedySelector(options).Select(instance, budget);
   if (!selection.ok()) std::abort();
-  *selection_out = std::move(selection).value();
-  return GreedyTrace::Snapshot();
+  return std::move(selection).value();
 }
 
-TEST_F(TelemetryTest, GreedyTraceReconstructsSelectionOrder) {
+/// Runs the greedy under a fresh request trace and returns the trace.
+obs::TraceContext RunTracedGreedy(GreedyMode mode, std::size_t budget,
+                                  Selection* selection_out) {
+  obs::TraceContext trace(obs::TraceId::Generate());
+  obs::TraceScope scope(&trace);
+  *selection_out = RunGreedy(mode, budget);
+  return trace;
+}
+
+/// The value of attribute `key` on the i-th span named `name`.
+double Attribute(const obs::TraceContext& trace, std::string_view name,
+                 std::string_view key, std::size_t nth = 0) {
+  for (const obs::TraceSpan& span : trace.spans()) {
+    if (span.name != name) continue;
+    if (nth-- > 0) continue;
+    for (const obs::SpanAttribute& attribute : span.attributes) {
+      if (attribute.key == key) return attribute.value;
+    }
+    ADD_FAILURE() << name << " has no attribute " << key;
+    return -1.0;
+  }
+  ADD_FAILURE() << "no span " << name;
+  return -1.0;
+}
+
+TEST_F(TelemetryTest, GreedyRoundsSpanCarriesRunTotals) {
   constexpr std::size_t kBudget = 3;
   Selection selection;
-  const std::vector<GreedyRoundEvent> events =
+  const obs::TraceContext trace =
       RunTracedGreedy(GreedyMode::kPlainScan, kBudget, &selection);
-  ASSERT_EQ(events.size(), selection.users.size());
-  double gain_sum = 0.0;
-  for (std::size_t round = 0; round < events.size(); ++round) {
-    EXPECT_EQ(events[round].run, events[0].run);
-    EXPECT_EQ(events[round].round, round);
-    EXPECT_EQ(events[round].user, selection.users[round]);
-    gain_sum += events[round].gain;
-    if (round > 0) {
-      // Submodularity: marginal gains never increase.
-      EXPECT_LE(events[round].gain, events[round - 1].gain);
-    }
+  // greedy.select -> setup / init / rounds / score, in that order.
+  const std::vector<obs::TraceSpan>& spans = trace.spans();
+  ASSERT_EQ(spans.size(), 5u);
+  EXPECT_EQ(spans[0].name, "greedy.select");
+  EXPECT_EQ(spans[0].parent, -1);
+  const char* children[] = {"greedy.setup", "greedy.init", "greedy.rounds",
+                            "greedy.score"};
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(spans[i + 1].name, children[i]);
+    EXPECT_EQ(spans[i + 1].parent, 0);
   }
-  // The selection score is exactly the sum of marginal gains.
-  EXPECT_NEAR(gain_sum, selection.score, 1e-9);
+  // The attributes are this run's totals, equal to the counters' deltas.
+  auto& registry = MetricsRegistry::Global();
+  EXPECT_EQ(Attribute(trace, "greedy.rounds", "rounds"),
+            static_cast<double>(selection.users.size()));
+  EXPECT_EQ(Attribute(trace, "greedy.rounds", "rounds"),
+            static_cast<double>(registry.counter("greedy.rounds").Value()));
+  EXPECT_EQ(
+      Attribute(trace, "greedy.rounds", "retired_links"),
+      static_cast<double>(registry.counter("greedy.retired_links").Value()));
+  EXPECT_EQ(
+      Attribute(trace, "greedy.rounds", "retired_groups"),
+      static_cast<double>(registry.counter("greedy.retired_groups").Value()));
+  EXPECT_GT(Attribute(trace, "greedy.rounds", "retired_links"), 0.0);
+  EXPECT_EQ(SpanHistogram("greedy.rounds").Count(), 1u);
 }
 
 TEST_F(TelemetryTest, LazyHeapTraceMatchesPlainScan) {
   constexpr std::size_t kBudget = 3;
   Selection plain_selection;
-  const std::vector<GreedyRoundEvent> plain =
+  const obs::TraceContext plain =
       RunTracedGreedy(GreedyMode::kPlainScan, kBudget, &plain_selection);
   Selection lazy_selection;
-  const std::vector<GreedyRoundEvent> lazy =
+  const obs::TraceContext lazy =
       RunTracedGreedy(GreedyMode::kLazyHeap, kBudget, &lazy_selection);
-  ASSERT_EQ(plain.size(), lazy.size());
-  for (std::size_t round = 0; round < plain.size(); ++round) {
-    EXPECT_EQ(plain[round].user, lazy[round].user);
-    EXPECT_DOUBLE_EQ(plain[round].gain, lazy[round].gain);
-    // The lazy heap works for its argmax; the plain scan records no pops.
-    EXPECT_EQ(plain[round].heap_pops, 0u);
-    EXPECT_GE(lazy[round].heap_pops, 1u);
-  }
   EXPECT_EQ(plain_selection.users, lazy_selection.users);
+  for (const char* key : {"rounds", "retired_links", "retired_groups"}) {
+    EXPECT_EQ(Attribute(plain, "greedy.rounds", key),
+              Attribute(lazy, "greedy.rounds", key))
+        << key;
+  }
+  // The lazy heap works for its argmax; the plain scan pops nothing.
+  EXPECT_EQ(Attribute(plain, "greedy.rounds", "heap_pops"), 0.0);
+  EXPECT_GE(Attribute(lazy, "greedy.rounds", "heap_pops"),
+            static_cast<double>(kBudget));
 }
 
-TEST_F(TelemetryTest, TraceRunIdsDistinguishRuns) {
-  Selection selection;
-  GreedyTrace::Clear();
-  GreedyOptions options;
-  const DiversificationInstance instance = MakeInstance(2);
-  ASSERT_TRUE(GreedySelector(options).Select(instance, 2).ok());
-  ASSERT_TRUE(GreedySelector(options).Select(instance, 2).ok());
-  const std::vector<GreedyRoundEvent> events = GreedyTrace::Snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events[0].run, events[1].run);
-  EXPECT_EQ(events[2].run, events[3].run);
-  EXPECT_NE(events[0].run, events[2].run);
+TEST_F(TelemetryTest, TraceSeparatesConsecutiveRuns) {
+  obs::TraceContext trace(obs::TraceId::Generate());
+  {
+    obs::TraceScope scope(&trace);
+    RunGreedy(GreedyMode::kPlainScan, 2);
+    RunGreedy(GreedyMode::kPlainScan, 2);
+  }
+  std::size_t roots = 0;
+  for (const obs::TraceSpan& span : trace.spans()) {
+    if (span.name == "greedy.select") {
+      EXPECT_EQ(span.parent, -1);
+      ++roots;
+    }
+  }
+  EXPECT_EQ(roots, 2u);
+  // Per-run totals, not running sums.
+  EXPECT_EQ(Attribute(trace, "greedy.rounds", "rounds", 0), 2.0);
+  EXPECT_EQ(Attribute(trace, "greedy.rounds", "rounds", 1), 2.0);
+  EXPECT_EQ(MetricsRegistry::Global().counter("greedy.runs").Value(), 2u);
 }
 
+// With telemetry off and no request trace installed, a greedy run leaves
+// no record anywhere: no counter or span histogram moves.
 TEST_F(TelemetryTest, DisabledGreedyRecordsNoTrace) {
   SetEnabled(false);
-  const DiversificationInstance instance = MakeInstance(2);
-  ASSERT_TRUE(GreedySelector().Select(instance, 2).ok());
+  RunGreedy(GreedyMode::kPlainScan, 2);
   SetEnabled(true);
-  EXPECT_TRUE(GreedyTrace::Snapshot().empty());
+  const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+  for (const auto& [name, value] : snapshot.counters) {
+    EXPECT_EQ(value, 0u) << name;
+  }
+  for (const auto& [name, histogram] : snapshot.histograms) {
+    EXPECT_EQ(histogram.count, 0u) << name;
+  }
+}
+
+// Telemetry memory is bounded by the number of distinct metric names, not
+// by traffic: 2,000 greedy runs leave the export within 10% of its size
+// after 20 (only the numbers get longer).
+TEST_F(TelemetryTest, ExportStaysBoundedOverRepeatedRuns) {
+  const DiversificationInstance instance = MakeInstance(3);
+  const GreedySelector selector;
+  const auto run = [&](int times) {
+    for (int i = 0; i < times; ++i) {
+      ASSERT_TRUE(selector.Select(instance, 3).ok());
+    }
+  };
+  // Sized as GET /metrics serves it.
+  json::WriteOptions pretty;
+  pretty.indent = 2;
+  run(20);
+  const std::size_t early = json::Write(TelemetryToJson(), pretty).size();
+  run(1980);
+  const std::size_t late = json::Write(TelemetryToJson(), pretty).size();
+  EXPECT_EQ(MetricsRegistry::Global().counter("greedy.runs").Value(), 2000u);
+  EXPECT_LE(static_cast<double>(late), 1.1 * static_cast<double>(early))
+      << "after 20 runs: " << early << " bytes, after 2000: " << late;
 }
 
 TEST_F(TelemetryTest, JsonExportMatchesDocumentedSchema) {
   constexpr std::size_t kBudget = 2;
-  Selection selection;
-  const std::vector<GreedyRoundEvent> events =
-      RunTracedGreedy(GreedyMode::kLazyHeap, kBudget, &selection);
-  ASSERT_EQ(events.size(), kBudget);
+  RunGreedy(GreedyMode::kLazyHeap, kBudget);
 
   const json::Value root = TelemetryToJson();
   ASSERT_TRUE(root.is_object());
   const json::Object& object = root.AsObject();
+  ASSERT_EQ(object.size(), 4u);
 
   const json::Value* schema = object.Find("schema");
   ASSERT_NE(schema, nullptr);
@@ -252,6 +329,7 @@ TEST_F(TelemetryTest, JsonExportMatchesDocumentedSchema) {
   EXPECT_EQ(schema->AsObject().Find("name")->AsString(), "podium.telemetry");
   EXPECT_EQ(schema->AsObject().Find("version")->AsNumber(),
             kTelemetrySchemaVersion);
+  EXPECT_EQ(kTelemetrySchemaVersion, 2);
 
   const json::Value* counters = object.Find("counters");
   ASSERT_NE(counters, nullptr);
@@ -262,28 +340,17 @@ TEST_F(TelemetryTest, JsonExportMatchesDocumentedSchema) {
 
   ASSERT_NE(object.Find("gauges"), nullptr);
   EXPECT_TRUE(object.Find("gauges")->is_object());
-  ASSERT_NE(object.Find("histograms"), nullptr);
-  EXPECT_TRUE(object.Find("histograms")->is_object());
-
-  const json::Value* phases = object.Find("phases");
-  ASSERT_NE(phases, nullptr);
-  ASSERT_TRUE(phases->is_object());
-  EXPECT_EQ(phases->AsObject().Find("name")->AsString(), "process");
-  EXPECT_GE(phases->AsObject().Find("seconds")->AsNumber(), 0.0);
-  EXPECT_TRUE(phases->AsObject().Find("children")->is_array());
-
-  const json::Value* trace = object.Find("greedy_trace");
-  ASSERT_NE(trace, nullptr);
-  ASSERT_TRUE(trace->is_array());
-  ASSERT_EQ(trace->AsArray().size(), kBudget);
-  const json::Object& round0 = trace->AsArray()[0].AsObject();
-  for (const char* key :
-       {"run", "round", "user", "gain", "gain_secondary", "heap_pops",
-        "stale_reinserts", "retired_links", "retired_groups"}) {
-    EXPECT_TRUE(round0.Contains(key)) << "missing trace key " << key;
+  const json::Value* histograms = object.Find("histograms");
+  ASSERT_NE(histograms, nullptr);
+  ASSERT_TRUE(histograms->is_object());
+  // Span timings live among the histograms, one per span name.
+  for (const char* span : {"greedy.select", "greedy.setup", "greedy.init",
+                           "greedy.rounds", "greedy.score"}) {
+    const json::Value* histogram =
+        histograms->AsObject().Find(SpanMetricName(span));
+    ASSERT_NE(histogram, nullptr) << span;
+    EXPECT_EQ(histogram->AsObject().Find("count")->AsNumber(), 1.0) << span;
   }
-  EXPECT_EQ(round0.Find("user")->AsNumber(),
-            static_cast<double>(selection.users[0]));
 }
 
 TEST_F(TelemetryTest, JsonExportEscapesHostileMetricNames) {
@@ -313,8 +380,7 @@ TEST_F(TelemetryTest, JsonExportEscapesHostileMetricNames) {
 }
 
 TEST_F(TelemetryTest, WriteTelemetryJsonRoundTrips) {
-  Selection selection;
-  RunTracedGreedy(GreedyMode::kPlainScan, 2, &selection);
+  RunGreedy(GreedyMode::kPlainScan, 2);
   const std::string path =
       ::testing::TempDir() + "/podium_telemetry_test.json";
   ASSERT_TRUE(WriteTelemetryJson(path).ok());
@@ -326,23 +392,24 @@ TEST_F(TelemetryTest, WriteTelemetryJsonRoundTrips) {
 }
 
 TEST_F(TelemetryTest, RenderTimingSummaryListsPhasesAndCounters) {
-  Selection selection;
-  RunTracedGreedy(GreedyMode::kPlainScan, 2, &selection);
+  RunGreedy(GreedyMode::kPlainScan, 2);
   const std::string summary = RenderTimingSummary();
+  // One flat line per span (name, completions, seconds), then counters.
   EXPECT_NE(summary.find("greedy.select"), std::string::npos);
   EXPECT_NE(summary.find("greedy.rounds"), std::string::npos);
+  EXPECT_NE(summary.find("x1 "), std::string::npos);
+  EXPECT_NE(summary.find("counters:"), std::string::npos);
+  EXPECT_EQ(summary.find("span.seconds"), std::string::npos);
 }
 
 TEST_F(TelemetryTest, ResetAllTelemetryClearsEveryStore) {
-  Selection selection;
-  RunTracedGreedy(GreedyMode::kPlainScan, 2, &selection);
+  RunGreedy(GreedyMode::kPlainScan, 2);
   ResetAllTelemetry();
-  EXPECT_TRUE(GreedyTrace::Snapshot().empty());
   EXPECT_EQ(MetricsRegistry::Global()
                 .counter("greedy.rounds")
                 .Value(),
             0u);
-  EXPECT_TRUE(PhaseTreeSnapshot().children.empty());
+  EXPECT_EQ(SpanHistogram("greedy.select").Count(), 0u);
 }
 
 }  // namespace

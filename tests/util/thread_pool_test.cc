@@ -53,15 +53,14 @@ TEST(ChunkPlanTest, IndependentOfThreadCount) {
 TEST(ThreadPoolTest, ZeroSizeRangeRunsNothing) {
   ScopedThreadCount threads(4);
   std::atomic<int> calls{0};
-  ParallelFor("test.zero", 0,
-              [&](std::size_t, std::size_t, std::size_t) { ++calls; });
+  ParallelFor(0, [&](std::size_t, std::size_t, std::size_t) { ++calls; });
   EXPECT_EQ(calls.load(), 0);
 }
 
 TEST(ThreadPoolTest, VisitsEveryIndexOnce) {
   ScopedThreadCount threads(4);
   std::vector<std::atomic<int>> visits(10000);
-  ParallelFor("test.visit", visits.size(),
+  ParallelFor(visits.size(),
               [&](std::size_t begin, std::size_t end, std::size_t) {
                 for (std::size_t i = begin; i < end; ++i) ++visits[i];
               });
@@ -80,7 +79,7 @@ TEST(ThreadPoolTest, ChunkResultsCombineDeterministically) {
     ScopedThreadCount scoped(threads);
     const ChunkPlan plan = PlanChunks(values.size(), 1);
     std::vector<double> partial(plan.num_chunks, 0.0);
-    ParallelFor("test.sum", values.size(),
+    ParallelFor(values.size(),
                 [&](std::size_t begin, std::size_t end, std::size_t chunk) {
                   double sum = 0.0;
                   for (std::size_t i = begin; i < end; ++i) sum += values[i];
@@ -95,7 +94,7 @@ TEST(ThreadPoolTest, ChunkResultsCombineDeterministically) {
 TEST(ThreadPoolTest, ExceptionsPropagateToCaller) {
   ScopedThreadCount threads(4);
   EXPECT_THROW(
-      ParallelFor("test.throw", 1000,
+      ParallelFor(1000,
                   [&](std::size_t begin, std::size_t, std::size_t) {
                     if (begin == 0) throw std::runtime_error("chunk failure");
                   }),
@@ -105,8 +104,7 @@ TEST(ThreadPoolTest, ExceptionsPropagateToCaller) {
 TEST(ThreadPoolTest, LowestChunkExceptionWins) {
   ScopedThreadCount threads(4);
   try {
-    ParallelFor("test.throw2", 1000, [&](std::size_t, std::size_t,
-                                         std::size_t chunk) {
+    ParallelFor(1000, [&](std::size_t, std::size_t, std::size_t chunk) {
       throw std::runtime_error("chunk " + std::to_string(chunk));
     });
     FAIL() << "expected an exception";
@@ -119,11 +117,10 @@ TEST(ThreadPoolTest, NestedParallelForFallsBackToSerial) {
   ScopedThreadCount threads(4);
   std::atomic<bool> saw_nested_parallel{false};
   std::vector<std::atomic<int>> visits(1000);
-  ParallelFor("test.outer", 4, [&](std::size_t begin, std::size_t end,
-                                   std::size_t) {
+  ParallelFor(4, [&](std::size_t begin, std::size_t end, std::size_t) {
     EXPECT_TRUE(InParallelRegion());
     for (std::size_t outer = begin; outer < end; ++outer) {
-      ParallelFor("test.inner", visits.size(),
+      ParallelFor(visits.size(),
                   [&](std::size_t inner_begin, std::size_t inner_end,
                       std::size_t) {
                     if (InParallelRegion()) {
@@ -146,7 +143,7 @@ TEST(ThreadPoolTest, SingleThreadPoolRunsInline) {
   ScopedThreadCount threads(1);
   EXPECT_EQ(ThreadPool::GlobalThreadCount(), 1u);
   std::vector<int> visits(100, 0);  // plain ints: no concurrency at 1 thread
-  ParallelFor("test.serial", visits.size(),
+  ParallelFor(visits.size(),
               [&](std::size_t begin, std::size_t end, std::size_t) {
                 for (std::size_t i = begin; i < end; ++i) ++visits[i];
               });
@@ -159,7 +156,7 @@ TEST(ThreadPoolTest, BackToBackLoopsReuseThePool) {
   ScopedThreadCount threads(4);
   for (int round = 0; round < 50; ++round) {
     std::atomic<std::size_t> total{0};
-    ParallelFor("test.repeat", 256,
+    ParallelFor(256,
                 [&](std::size_t begin, std::size_t end, std::size_t) {
                   total += end - begin;
                 });

@@ -12,8 +12,8 @@
 //       Select a diverse user subset and print the explanation report
 //       (or a JSON document with --json). The customization lists take
 //       group labels as printed by `podium groups`, ';'-separated.
-//       --timing prints a human-readable phase/counter summary after the
-//       report; --telemetry-out writes the full telemetry JSON export
+//       --timing prints a span/counter summary after the report;
+//       --telemetry-out writes the full telemetry JSON export
 //       (schema in DESIGN.md §"Telemetry & profiling").
 //   podium suggest --profiles=FILE [--budget=B] [--max=N]
 //       Select, then print refinement suggestions (groups to prioritize,

@@ -23,7 +23,7 @@
 //                     "priority": [...], "explain": true,
 //                     "deadline_ms": 2000}
 //   GET  /healthz    liveness + snapshot generation/size/age
-//   GET  /metrics    telemetry JSON (counters, latency histograms, phases);
+//   GET  /metrics    telemetry JSON (counters, gauges, span histograms);
 //                    ?format=prometheus for Prometheus text exposition
 //   GET  /v1/traces  recent request traces (span trees) from the in-memory
 //                    trace ring; ?limit=N caps the count

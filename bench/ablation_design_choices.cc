@@ -6,9 +6,7 @@
 //      prefer large-group representatives;
 //   2. bucketing method (Section 3.2 lists equal-width / quantile /
 //      1-d k-means / Jenks / KDE as alternatives for computing β(p));
-//   3. plain-scan vs. lazy-heap greedy (identical output, different
-//      argmax cost);
-//   4. extra comparison-space baselines beyond the paper's three:
+//   3. extra comparison-space baselines beyond the paper's three:
 //      stratified sampling (Table 1's survey row), MMR (related-work
 //      [20]) and the T-Model (Table 1's predicted-coverage row), against
 //      Podium on the intrinsic metrics.
@@ -138,36 +136,8 @@ int main(int argc, char** argv) {
         row_labels, cells);
   }
 
-  // --- 3. plain vs. lazy greedy ----------------------------------------------
-  std::printf("\n[3] greedy argmax strategy (identical output required)\n");
-  {
-    podium::InstanceOptions options;
-    options.budget = budget;
-    const podium::DiversificationInstance instance = Unwrap(
-        podium::DiversificationInstance::Build(data.repository, options));
-    podium::GreedyOptions plain;
-    plain.mode = podium::GreedyMode::kPlainScan;
-    podium::GreedyOptions lazy;
-    lazy.mode = podium::GreedyMode::kLazyHeap;
-
-    podium::util::Stopwatch plain_watch;
-    const podium::Selection plain_selection =
-        Unwrap(podium::GreedySelector(plain).Select(instance, budget));
-    const double plain_seconds = plain_watch.ElapsedSeconds();
-    podium::util::Stopwatch lazy_watch;
-    const podium::Selection lazy_selection =
-        Unwrap(podium::GreedySelector(lazy).Select(instance, budget));
-    const double lazy_seconds = lazy_watch.ElapsedSeconds();
-
-    std::printf("  plain-scan: %.4fs, lazy-heap: %.4fs, outputs %s\n",
-                plain_seconds, lazy_seconds,
-                plain_selection.users == lazy_selection.users ? "IDENTICAL"
-                                                              : "DIFFER!");
-    if (!(plain_selection.users == lazy_selection.users)) return 1;
-  }
-
-  // --- 4. extra baselines -----------------------------------------------------
-  std::printf("\n[4] extra baselines (stratified, MMR, T-Model) vs. Podium\n");
+  // --- 3. extra baselines -----------------------------------------------------
+  std::printf("\n[3] extra baselines (stratified, MMR, T-Model) vs. Podium\n");
   {
     podium::InstanceOptions options;
     options.budget = budget;

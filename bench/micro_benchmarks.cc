@@ -100,14 +100,12 @@ BENCHMARK(BM_GroupIndexBuildThreads)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// Thread scaling of the greedy Line-2 initialization (marginal gains +
-// heap). A budget of 1 makes the selection loop negligible, so the run is
-// dominated by setup + init.
+// Thread scaling of the greedy Line-2 initialization (marginal gains). A
+// budget of 1 makes the selection loop negligible, so the run is dominated
+// by setup + init.
 void BM_GreedyInitThreads(benchmark::State& state) {
   const DiversificationInstance& instance = SharedInstance();
-  GreedyOptions options;
-  options.mode = GreedyMode::kLazyHeap;
-  GreedySelector selector(options);
+  GreedySelector selector;
   util::ThreadPool::SetGlobalThreadCount(
       static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -235,18 +233,13 @@ BENCHMARK(BM_MarginalGainKernel)->ArgsProduct({{64, 512, 4096}, {0, 1}});
 
 void BM_GreedySelect(benchmark::State& state) {
   const DiversificationInstance& instance = SharedInstance();
-  GreedyOptions options;
-  options.mode = state.range(0) == 0 ? GreedyMode::kPlainScan
-                                     : GreedyMode::kLazyHeap;
-  GreedySelector selector(options);
+  GreedySelector selector;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        selector.Select(instance, static_cast<std::size_t>(state.range(1))));
+        selector.Select(instance, static_cast<std::size_t>(state.range(0))));
   }
 }
-BENCHMARK(BM_GreedySelect)
-    ->ArgsProduct({{0, 1}, {8, 32}})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GreedySelect)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
 
 // Telemetry overhead on the greedy hot path: arg 0 runs with telemetry
 // disabled (the library default — a relaxed atomic load and a clock read
@@ -254,9 +247,7 @@ BENCHMARK(BM_GreedySelect)
 // The disabled row must stay within noise of BM_GreedySelect.
 void BM_GreedySelectTelemetry(benchmark::State& state) {
   const DiversificationInstance& instance = SharedInstance();
-  GreedyOptions options;
-  options.mode = GreedyMode::kLazyHeap;
-  GreedySelector selector(options);
+  GreedySelector selector;
   telemetry::SetEnabled(state.range(0) == 1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(selector.Select(instance, 8));

@@ -111,10 +111,8 @@ std::vector<std::uint8_t> TiersForPriority(
 }
 
 Result<Selection> RunGreedy(const DiversificationInstance& instance,
-                            std::size_t budget, GreedyMode mode) {
-  GreedyOptions options;
-  options.mode = mode;
-  return GreedySelector(options).Select(instance, budget);
+                            std::size_t budget) {
+  return GreedySelector().Select(instance, budget);
 }
 
 /// One round's fixed instance parameters, drawn up front so the same
@@ -160,11 +158,9 @@ void CheckServePath(RoundLog& log, const datagen::Dataset& dataset,
   uncached_options.cache_entries = 0;
   serve::SelectionService uncached(snapshot.value(), uncached_options);
 
-  for (const GreedyMode mode :
-       {GreedyMode::kPlainScan, GreedyMode::kLazyHeap}) {
+  {
     serve::SelectionRequest request;
     request.budget = plan.budget;
-    request.mode = mode;
     Result<serve::ServiceReply> first = cached.Select(request);
     Result<serve::ServiceReply> again = cached.Select(request);
     Result<serve::ServiceReply> direct = uncached.Select(request);
@@ -190,8 +186,7 @@ void CheckServePath(RoundLog& log, const datagen::Dataset& dataset,
       log.Diverge("serve body unparseable: " + served.status().message());
     } else if (served.value() != oracle.users) {
       log.Diverge(util::StringPrintf(
-          "serve (%s) selected %s, oracle %s",
-          std::string(serve::SelectorName(mode)).c_str(),
+          "serve selected %s, oracle %s",
           UsersToString(served.value()).c_str(),
           UsersToString(oracle.users).c_str()));
     }
@@ -303,19 +298,44 @@ void CheckServePath(RoundLog& log, const datagen::Dataset& dataset,
   }
 }
 
+/// What the two-round selector must return at K>1, from the oracle alone:
+/// OracleGreedy on each shard's instance for its round-1 pool of
+/// max(pool_factor·B, B) users, then OracleGreedy over the union of those
+/// pools (in global ids) at `budget`.
+Result<Selection> OracleTwoRound(const shard::ShardedSnapshot& sharded,
+                                 const DiversificationInstance& instance,
+                                 std::size_t budget) {
+  const std::size_t pool_budget =
+      std::max(sharded.options().pool_factor * budget, budget);
+  std::vector<UserId> candidates;
+  for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
+    const shard::ShardSnapshot& shard = sharded.shard(s);
+    if (shard.user_count() == 0) continue;
+    Result<Selection> pool = OracleGreedy(shard.instance, pool_budget);
+    if (!pool.ok()) return pool.status();
+    for (UserId local : pool->users) {
+      candidates.push_back(shard.global_ids[local]);
+    }
+  }
+  if (candidates.empty()) return Selection{};  // an empty pool means all users
+  return OracleGreedy(instance, budget, std::move(candidates));
+}
+
 /// One sharded selection's contract checks (DESIGN.md §13): structural
 /// sanity of the merged set and the candidate pools, the merged score
-/// rescored exactly by the unsharded oracle scorer, byte-identity to the
-/// single-snapshot oracle at K=1, and the proven (1−1/e)²/min(K,B) bound
-/// at K>1.
+/// rescored exactly by the unsharded oracle scorer, byte-identity to
+/// `expected` (the single-snapshot oracle at K=1, OracleTwoRound at K>1),
+/// and at K>1 the proven (1−1/e)²/min(K,B) bound against the
+/// single-snapshot `oracle`.
 void CheckShardedSelection(RoundLog& log, const std::string& what,
                            const shard::ShardedSnapshot& sharded,
                            const shard::ShardedSelection& sel,
-                           const RoundPlan& plan,
+                           std::size_t budget,
                            const DiversificationInstance& instance,
-                           const Selection& oracle, double bound) {
+                           const Selection& expected, const Selection& oracle,
+                           double bound) {
   const Selection& merged = sel.merged;
-  const std::size_t want = std::min(plan.budget, sharded.user_count());
+  const std::size_t want = std::min(budget, sharded.user_count());
   if (merged.users.size() != want) {
     log.Diverge(util::StringPrintf("%s selected %zu users, want %zu",
                                    what.c_str(), merged.users.size(), want));
@@ -354,9 +374,8 @@ void CheckShardedSelection(RoundLog& log, const std::string& what,
         what.c_str(), merged.score, UsersToString(merged.users).c_str(),
         rescored));
   }
-  if (sharded.shard_count() == 1) {
-    CompareWithOracle(log, what.c_str(), oracle, merged);
-  } else if (merged.score < bound * oracle.score) {
+  CompareWithOracle(log, what.c_str(), expected, merged);
+  if (sharded.shard_count() > 1 && merged.score < bound * oracle.score) {
     log.Diverge(util::StringPrintf(
         "%s score %.17g below the two-round bound %.17g (= %.4f x oracle "
         "%.17g)",
@@ -366,13 +385,17 @@ void CheckShardedSelection(RoundLog& log, const std::string& what,
 }
 
 /// Sweeps the sharded engine over `options.shard_counts` × both partition
-/// strategies × `options.shard_thread_counts` × both greedy modes, then
-/// (for K>1) drives the sharded serve path and compares its responses to
-/// the direct selector.
+/// strategies × `options.shard_thread_counts`, then (for K>1) drives the
+/// sharded serve path and compares its responses to the direct selector.
+/// K=1 runs every budget of the round against its oracle (`oracles[i]`
+/// for `budgets[i]`); K>1 runs the round's budget against OracleTwoRound.
 void CheckShardedPath(RoundLog& log, const datagen::Dataset& dataset,
                       const RoundPlan& plan,
                       const DiversificationInstance& instance,
-                      const Selection& oracle, const DiffOptions& options) {
+                      const std::vector<std::size_t>& budgets,
+                      const std::vector<Selection>& oracles,
+                      const DiffOptions& options) {
+  const Selection& oracle = oracles.front();
   const double greedy_factor = 1.0 - std::exp(-1.0);
   for (const std::size_t num_shards : options.shard_counts) {
     if (num_shards == 0) continue;
@@ -391,9 +414,10 @@ void CheckShardedPath(RoundLog& log, const datagen::Dataset& dataset,
           "sharded K=%zu/%s", num_shards,
           std::string(shard::PartitionStrategyName(strategy)).c_str());
       // Partitioning, shard builds, and both selection rounds are all
-      // deterministic in the input alone, so every (threads, mode) cell
-      // must reproduce one reference selection byte for byte.
+      // deterministic in the input alone, so every thread-count cell must
+      // reproduce one reference selection byte for byte.
       std::optional<Selection> reference;
+      std::optional<Selection> two_round;
       for (const std::size_t threads : options.shard_thread_counts) {
         util::ThreadPool::SetGlobalThreadCount(threads);
         Result<std::shared_ptr<const shard::ShardedSnapshot>> snapshot =
@@ -416,19 +440,32 @@ void CheckShardedPath(RoundLog& log, const datagen::Dataset& dataset,
               tag.c_str(), sharded.group_count(),
               instance.groups().group_count()));
         }
-        for (const GreedyMode mode :
-             {GreedyMode::kPlainScan, GreedyMode::kLazyHeap}) {
+        if (num_shards > 1 && !two_round.has_value()) {
+          Result<Selection> expected =
+              OracleTwoRound(sharded, instance, plan.budget);
+          if (!expected.ok()) {
+            log.Diverge(tag + ": two-round oracle failed: " +
+                        expected.status().message());
+            break;
+          }
+          two_round = std::move(expected).value();
+        }
+        const std::size_t runs = num_shards == 1 ? budgets.size() : 1;
+        for (std::size_t i = 0; i < runs; ++i) {
           Result<shard::ShardedSelection> sel =
-              shard::ShardedSelector(mode).Select(sharded, plan.budget);
-          const std::string what = util::StringPrintf(
-              "%s %s @%zu threads", tag.c_str(),
-              std::string(serve::SelectorName(mode)).c_str(), threads);
+              shard::ShardedSelector().Select(sharded, budgets[i]);
+          const std::string what =
+              util::StringPrintf("%s at budget %zu @%zu threads", tag.c_str(),
+                                 budgets[i], threads);
           if (!sel.ok()) {
             log.Diverge(what + " failed: " + sel.status().message());
             continue;
           }
-          CheckShardedSelection(log, what, sharded, sel.value(), plan,
-                                instance, oracle, bound);
+          CheckShardedSelection(log, what, sharded, sel.value(), budgets[i],
+                                instance,
+                                num_shards == 1 ? oracles[i] : *two_round,
+                                oracle, bound);
+          if (i > 0) continue;
           if (!reference.has_value()) {
             reference = sel->merged;
           } else if (!SameSelection(*reference, sel->merged)) {
@@ -530,37 +567,39 @@ void RunRound(RoundLog& log, const DiffOptions& options, int round) {
     return;
   }
 
-  Result<Selection> oracle = OracleGreedy(instance.value(), plan.budget);
-  Result<Selection> plain =
-      RunGreedy(instance.value(), plan.budget, GreedyMode::kPlainScan);
-  Result<Selection> heap =
-      RunGreedy(instance.value(), plan.budget, GreedyMode::kLazyHeap);
-  if (!oracle.ok() || !plain.ok() || !heap.ok()) {
-    log.Diverge("selector failed: " +
-                (!oracle.ok() ? oracle.status()
-                              : !plain.ok() ? plain.status() : heap.status())
-                    .message());
-    return;
-  }
-  CompareWithOracle(log, "plain-scan greedy", oracle.value(), plain.value());
-  CompareWithOracle(log, "lazy-heap greedy", oracle.value(), heap.value());
-
-  for (const std::string& violation :
-       CheckGreedyRun(instance.value(), plain.value(), plan.budget)
-           .violations) {
-    log.Diverge("invariant: " + violation);
-  }
-  if (plan.tiny) {
-    for (const std::string& violation :
-         CheckApproximationRatio(instance.value(), plain.value(), plan.budget)
-             .violations) {
-      log.Diverge("approximation: " + violation);
+  // Every non-tiny round also selects the whole population: budget = user
+  // count ends each run in the zero-gain tail (core/greedy.h), where the
+  // greedy, customized and K=1 sharded paths must match the oracle too.
+  std::vector<std::size_t> budgets = {plan.budget};
+  if (!plan.tiny) budgets.push_back(dataset->repository.user_count());
+  std::vector<Selection> oracles;  // one per budget
+  for (const std::size_t budget : budgets) {
+    Result<Selection> oracle = OracleGreedy(instance.value(), budget);
+    Result<Selection> greedy = RunGreedy(instance.value(), budget);
+    if (!oracle.ok() || !greedy.ok()) {
+      log.Diverge("selector failed: " +
+                  (!oracle.ok() ? oracle.status() : greedy.status()).message());
+      return;
     }
+    const std::string what = util::StringPrintf("greedy at budget %zu", budget);
+    CompareWithOracle(log, what.c_str(), oracle.value(), greedy.value());
+    for (const std::string& violation :
+         CheckGreedyRun(instance.value(), greedy.value(), budget).violations) {
+      log.Diverge("invariant: " + violation);
+    }
+    if (plan.tiny) {
+      for (const std::string& violation :
+           CheckApproximationRatio(instance.value(), greedy.value(), budget)
+               .violations) {
+        log.Diverge("approximation: " + violation);
+      }
+    }
+    oracles.push_back(std::move(oracle).value());
   }
 
   // Customized path: a random priority group and (sometimes) a must_not
-  // filter; plain vs heap must agree, and both must match the oracle run
-  // over the refined pool under the derived tiers.
+  // filter; at every budget the selection must match the oracle run over
+  // the refined pool under the derived tiers.
   CustomizationFeedback feedback;
   const std::size_t num_groups = instance->groups().group_count();
   Result<CustomSelection> custom =
@@ -572,34 +611,23 @@ void RunRound(RoundLog& log, const DiffOptions& options, int round) {
       feedback.must_not.push_back(
           static_cast<GroupId>(rng.NextBounded(num_groups)));
     }
-    custom = SelectCustomized(instance.value(), feedback, plan.budget,
-                              GreedyMode::kPlainScan);
-    Result<CustomSelection> custom_heap = SelectCustomized(
-        instance.value(), feedback, plan.budget, GreedyMode::kLazyHeap);
-    if (custom.ok() != custom_heap.ok()) {
-      log.Diverge("customized plain vs heap disagree on status");
-    } else if (custom.ok() &&
-               !SameSelection(custom->selection, custom_heap->selection)) {
-      log.Diverge(util::StringPrintf(
-          "customized heap selected %s, plain %s",
-          UsersToString(custom_heap->selection.users).c_str(),
-          UsersToString(custom->selection.users).c_str()));
-    }
-    if (custom.ok()) {
-      Result<std::vector<UserId>> refined =
-          RefineUsers(instance.value(), feedback);
-      if (refined.ok()) {
-        Result<Selection> custom_oracle = OracleGreedy(
-            instance.value(), plan.budget, refined.value(),
-            TiersForPriority(num_groups, feedback.priority));
-        if (custom_oracle.ok() &&
-            custom_oracle->users != custom->selection.users) {
-          log.Diverge(util::StringPrintf(
-              "customized greedy selected %s, oracle %s",
-              UsersToString(custom->selection.users).c_str(),
-              UsersToString(custom_oracle->users).c_str()));
+    const Result<std::vector<UserId>> refined =
+        RefineUsers(instance.value(), feedback);
+    for (const std::size_t budget : budgets) {
+      Result<CustomSelection> selected =
+          SelectCustomized(instance.value(), feedback, budget);
+      if (selected.ok() && refined.ok()) {
+        Result<Selection> custom_oracle =
+            OracleGreedy(instance.value(), budget, refined.value(),
+                         TiersForPriority(num_groups, feedback.priority));
+        const std::string what =
+            util::StringPrintf("customized greedy at budget %zu", budget);
+        if (custom_oracle.ok()) {
+          CompareWithOracle(log, what.c_str(), custom_oracle.value(),
+                            selected->selection);
         }
       }
+      if (budget == plan.budget) custom = std::move(selected);
     }
   }
 
@@ -632,38 +660,30 @@ void RunRound(RoundLog& log, const DiffOptions& options, int round) {
                                        threads, vname.c_str()) +
                     adjacency.message());
       }
-      Result<Selection> plain_t =
-          RunGreedy(rebuilt.value(), plan.budget, GreedyMode::kPlainScan);
-      Result<Selection> heap_t =
-          RunGreedy(rebuilt.value(), plan.budget, GreedyMode::kLazyHeap);
-      if (!plain_t.ok() || !heap_t.ok()) {
+      Result<Selection> greedy_t = RunGreedy(rebuilt.value(), plan.budget);
+      if (!greedy_t.ok()) {
         log.Diverge(util::StringPrintf(
             "selector failed at %zu threads (%s kernels)", threads,
             vname.c_str()));
         continue;
       }
-      if (!SameSelection(plain_t.value(), oracle.value())) {
+      if (!SameSelection(greedy_t.value(), oracles.front())) {
         log.Diverge(util::StringPrintf(
-            "plain-scan at %zu threads (%s kernels) selected %s", threads,
-            vname.c_str(), UsersToString(plain_t->users).c_str()));
-      }
-      if (!SameSelection(heap_t.value(), oracle.value())) {
-        log.Diverge(util::StringPrintf(
-            "lazy heap at %zu threads (%s kernels) selected %s", threads,
-            vname.c_str(), UsersToString(heap_t->users).c_str()));
+            "greedy at %zu threads (%s kernels) selected %s", threads,
+            vname.c_str(), UsersToString(greedy_t->users).c_str()));
       }
     }
   }
   kernels::ForceVariant(std::nullopt);
 
   if (options.with_serve) {
-    CheckServePath(log, dataset.value(), plan, oracle.value(),
+    CheckServePath(log, dataset.value(), plan, oracles.front(),
                    instance.value(), custom, feedback);
   }
 
   if (!options.shard_counts.empty()) {
-    CheckShardedPath(log, dataset.value(), plan, instance.value(),
-                     oracle.value(), options);
+    CheckShardedPath(log, dataset.value(), plan, instance.value(), budgets,
+                     oracles, options);
   }
 }
 

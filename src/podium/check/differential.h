@@ -30,11 +30,13 @@ struct DiffOptions {
   bool with_serve = true;
 
   /// For each K here, build a sharded snapshot over the round's dataset
-  /// (both partition strategies, at `shard_thread_counts` pool sizes, both
-  /// greedy modes) and run the two-round distributed selection. K=1 must
-  /// be byte-identical to the single-snapshot oracle; K>1 must score the
-  /// merged set exactly (vs OracleScore) and satisfy the proven
-  /// (1−1/e)²/min(K,B) bound against the oracle. Empty disables.
+  /// (both partition strategies, at `shard_thread_counts` pool sizes) and
+  /// run the two-round distributed selection. K=1 must be byte-identical
+  /// to the single-snapshot oracle, also at budget = user count; K>1 must
+  /// be byte-identical to the oracle run over the union of the oracle's
+  /// round-1 pools, score the merged set exactly (vs OracleScore), and
+  /// satisfy the proven (1−1/e)²/min(K,B) bound against the oracle.
+  /// Empty disables.
   std::vector<std::size_t> shard_counts = {};
 
   /// Global thread-pool sizes the shard sweep runs under; selections must
@@ -53,11 +55,12 @@ struct DiffReport {
 
 /// Runs `options.rounds` differential rounds. Each round generates a
 /// small seeded instance via podium::datagen, then asserts that the naïve
-/// Algorithm-1 oracle, the plain-scan greedy, the lazy-heap greedy, every
-/// configured thread count, and (optionally) the serve path all produce
-/// byte-identical selections — plus the greedy invariants of
-/// invariants.h, and the (1 − 1/e) bound against the exhaustive optimum
-/// on instances small enough to enumerate.
+/// Algorithm-1 oracle, the greedy, every configured thread count, and
+/// (optionally) the serve path all produce byte-identical selections —
+/// at the round's budget and, except on the tiny rounds, at budget = user
+/// count — plus the greedy invariants of invariants.h, and the (1 − 1/e)
+/// bound against the exhaustive optimum on instances small enough to
+/// enumerate.
 DiffReport RunDifferential(const DiffOptions& options);
 
 }  // namespace podium::check

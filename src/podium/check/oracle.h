@@ -13,7 +13,7 @@ namespace podium::check {
 
 /// Reference oracles for differential testing: deliberately dumb, direct
 /// transcriptions of the paper's definitions with none of the optimized
-/// paths' data structures (no maintained marginals, no lazy heap, no CSR,
+/// paths' data structures (no maintained marginals, no zero-gain tail, no CSR,
 /// no threads). Each is small enough to audit by eye; the optimized code
 /// is correct exactly when it agrees with these byte for byte.
 ///

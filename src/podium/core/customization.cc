@@ -102,7 +102,7 @@ Result<DualScore> CustomizedScore(const DiversificationInstance& instance,
 Result<CustomSelection> SelectCustomized(
     const DiversificationInstance& instance,
     const CustomizationFeedback& feedback, std::size_t budget,
-    GreedyMode mode) {
+    GreedyMode /*mode*/) {
   if (instance.weight_kind() == WeightKind::kEbs) {
     return Status::Unimplemented(
         "customized selection is not supported with EBS weights");
@@ -115,7 +115,6 @@ Result<CustomSelection> SelectCustomized(
   }
 
   GreedyOptions options;
-  options.mode = mode;
   options.candidate_pool = refined.value();
   options.group_tiers = ComputeTiers(instance, feedback);
   GreedySelector selector(std::move(options));

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <queue>
 #include <utility>
 
 #include "podium/core/kernels.h"
@@ -19,14 +19,13 @@ namespace podium {
 
 namespace {
 
-/// One Select() run's data-structure work. The hot loop touches only
-/// these locals; Publish() reports the totals once, as attributes of the
-/// run's `greedy.rounds` span and, while telemetry is enabled, into the
+/// One greedy run's data-structure work. The hot loop touches only these
+/// locals; Publish() reports the totals once, as attributes of the run's
+/// `greedy.rounds` span and, while telemetry is enabled, into the
 /// `greedy.*` counters.
 struct GreedyRunStats {
   std::uint64_t rounds = 0;
-  std::uint64_t heap_pops = 0;
-  std::uint64_t stale_reinserts = 0;
+  std::uint64_t tail_users = 0;
   std::uint64_t retired_links = 0;
   std::uint64_t retired_groups = 0;
 
@@ -36,15 +35,12 @@ struct GreedyRunStats {
                              static_cast<double>(retired_links));
     rounds_span.SetAttribute("retired_groups",
                              static_cast<double>(retired_groups));
-    rounds_span.SetAttribute("heap_pops", static_cast<double>(heap_pops));
-    rounds_span.SetAttribute("stale_reinserts",
-                             static_cast<double>(stale_reinserts));
+    rounds_span.SetAttribute("tail_users", static_cast<double>(tail_users));
     if (!telemetry::Enabled()) return;
     auto& registry = telemetry::MetricsRegistry::Global();
     registry.counter("greedy.runs").Add();
     registry.counter("greedy.rounds").Add(rounds);
-    registry.counter("greedy.heap_pops").Add(heap_pops);
-    registry.counter("greedy.stale_reinserts").Add(stale_reinserts);
+    registry.counter("greedy.tail_users").Add(tail_users);
     registry.counter("greedy.retired_links").Add(retired_links);
     registry.counter("greedy.retired_groups").Add(retired_groups);
   }
@@ -62,7 +58,7 @@ constexpr std::size_t kPoolGrain = 512;
 /// in every association order, so the SIMD accumulator's reassociated sum
 /// is bit-identical to the scalar left fold. Iden (all 1.0) and LBS
 /// (group sizes) always qualify; weight-noise runs never do.
-bool ExactUnderReassociation(const std::vector<double>& weights) {
+bool ExactUnderReassociation(std::span<const double> weights) {
   constexpr double kLimit = 4503599627370496.0;  // 2^52
   double total = 0.0;
   for (double w : weights) {
@@ -112,160 +108,23 @@ struct SoaState {
   }
 };
 
-Selection RunScalarGreedy(const DiversificationInstance& instance,
-                          std::size_t budget,
-                          const std::vector<UserId>& pool,
-                          const std::vector<std::uint8_t>& tiers,
-                          const std::vector<std::uint32_t>& tie_rank,
-                          const std::vector<double>& weights,
-                          GreedyMode mode) {
-  const GroupIndex& groups = instance.groups();
-  const std::size_t num_users = instance.repository().user_count();
-  const std::size_t num_groups = groups.group_count();
-
-  // Phase accounting: "greedy.init" covers the marginal-gain/heap setup,
-  // "greedy.rounds" the selection loop, "greedy.score" the final scoring.
-  std::optional<obs::Span> phase;
-  phase.emplace("greedy.init");
-  SoaState state(num_users, num_groups);
-  std::copy(instance.coverage().begin(), instance.coverage().end(),
-            state.remaining.begin());
-  for (UserId u : pool) {
-    state.in_pool[u] = 1;
-    state.alive.Set(u);
-  }
-  bool has_tier1 = false;
-  for (GroupId g = 0; g < num_groups; ++g) {
-    const std::uint8_t tier = tiers[g];
-    state.w0[g] = tier == 0 ? weights[g] : 0.0;
-    state.w1[g] = tier == 1 ? weights[g] : 0.0;
-    has_tier1 |= tier == 1;
-  }
-  const bool exact_reassoc = ExactUnderReassociation(weights);
-  const double* w1_or_null = has_tier1 ? state.w1.data() : nullptr;
-
-  // Line 2 of Algorithm 1: marg_{u,∅} = Σ_{G ∋ u} wei(G), accumulated per
-  // tier by the kernel over the pre-split weight arrays (groups of other
-  // tiers contribute an exact +0.0). Pool users are distinct (Select()
-  // dedupes), so chunks write disjoint gain slots.
-  util::ParallelFor(
-      pool.size(),
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const UserId u = pool[i];
-          kernels::AccumulateTieredGains(groups.groups_of(u), state.w0.data(),
-                                         w1_or_null, exact_reassoc,
-                                         &state.gain0[u], &state.gain1[u]);
-        }
-      },
-      kPoolGrain);
-
-  // Prefer larger gains (tier 0, then tier 1); among equal gains, smaller
-  // tie rank.
-  auto better = [&](UserId a, UserId b) {
-    if (state.gain0[a] != state.gain0[b]) return state.gain0[a] > state.gain0[b];
-    if (state.gain1[a] != state.gain1[b]) return state.gain1[a] > state.gain1[b];
-    return tie_rank[a] < tie_rank[b];
-  };
-
-  // Lazy heap entries carry the gain they were pushed with; stale entries
-  // are re-pushed on pop. Valid because gains only decrease (submodularity).
-  struct HeapEntry {
-    double gain0;
-    double gain1;
-    std::uint32_t tie;
-    UserId user;
-    bool operator<(const HeapEntry& other) const {  // max-heap
-      if (gain0 != other.gain0) return gain0 < other.gain0;
-      if (gain1 != other.gain1) return gain1 < other.gain1;
-      return tie > other.tie;
-    }
-  };
-  // The initial heap is built from a pre-sized entry vector and heapified
-  // in one O(n) pass instead of n pushes; pop order is unchanged because
-  // (gain, tie_rank) is a strict total order over distinct pool users.
-  std::priority_queue<HeapEntry> heap;
-  if (mode == GreedyMode::kLazyHeap) {
-    std::vector<HeapEntry> entries(pool.size());
-    util::ParallelFor(
-        pool.size(),
-        [&](std::size_t begin, std::size_t end, std::size_t) {
-          for (std::size_t i = begin; i < end; ++i) {
-            const UserId u = pool[i];
-            entries[i] =
-                HeapEntry{state.gain0[u], state.gain1[u], tie_rank[u], u};
-          }
-        },
-        kPoolGrain);
-    heap = std::priority_queue<HeapEntry>(std::less<HeapEntry>(),
-                                          std::move(entries));
-  }
-
-  phase.emplace("greedy.rounds");
-  GreedyRunStats stats;
-  Selection selection;
-  std::size_t pool_left = pool.size();
-  for (std::size_t round = 0; round < budget && pool_left > 0; ++round) {
-    // Line 5: maxUser = argmax marg. The bitset walk visits users in
-    // ascending id order rather than pool order; the argmax is the same
-    // because (gain0, gain1, tie_rank) is a strict total order over
-    // distinct pool users — no two compare equal, so the winner does not
-    // depend on iteration order.
-    UserId chosen = kInvalidUser;
-    if (mode == GreedyMode::kPlainScan) {
-      state.alive.ForEachSet([&](std::size_t i) {
-        const UserId u = static_cast<UserId>(i);
-        if (chosen == kInvalidUser || better(u, chosen)) chosen = u;
-      });
-    } else {
-      while (!heap.empty()) {
-        HeapEntry top = heap.top();
-        heap.pop();
-        ++stats.heap_pops;
-        if (!state.in_pool[top.user]) continue;
-        // Start the candidate's adjacency span on its way to cache while
-        // the staleness compare resolves.
-        const auto adjacent = groups.groups_of(top.user);
-        kernels::PrefetchRange(adjacent.data(),
-                               adjacent.size() * sizeof(GroupId));
-        if (top.gain0 != state.gain0[top.user] ||
-            top.gain1 != state.gain1[top.user]) {
-          top.gain0 = state.gain0[top.user];
-          top.gain1 = state.gain1[top.user];
-          heap.push(top);
-          ++stats.stale_reinserts;
-          continue;
-        }
-        chosen = top.user;
-        break;
-      }
-      if (chosen == kInvalidUser) break;  // heap exhausted
-    }
-
-    // Lines 6-10: move the user, decrement coverage, retire dead groups
-    // and charge their weight back from other members' marginal gains.
-    selection.users.push_back(chosen);
-    state.in_pool[chosen] = 0;
-    state.alive.Clear(chosen);
-    --pool_left;
-    const auto adjacent = groups.groups_of(chosen);
-    kernels::PrefetchRange(adjacent.data(), adjacent.size() * sizeof(GroupId));
-    for (GroupId g : adjacent) {
-      const std::uint8_t tier = tiers[g];
-      if (tier >= kIgnoredTier || state.group_dead[g]) continue;
-      if (--state.remaining[g] > 0) continue;
-      state.group_dead[g] = 1;
-      ++stats.retired_groups;
-      double* gains = tier == 0 ? state.gain0.data() : state.gain1.data();
-      stats.retired_links += kernels::RetireSpan(
-          groups.members(g), state.in_pool.data(), gains, weights[g]);
-    }
-    ++stats.rounds;
-  }
-  stats.Publish(*phase);
-  phase.emplace("greedy.score");
-  selection.score = TotalScore(instance, selection.users);
-  return selection;
+/// The zero-gain tail of RunScalarGreedy: appends up to `count` users of
+/// the alive pool to `users` in ascending tie rank and returns how many it
+/// appended. Out of line so that the round loop, which most runs never
+/// leave early, keeps the shape it has without it.
+[[gnu::noinline]] std::size_t AppendZeroGainTail(
+    const util::FixedBitset& alive, std::span<const std::uint32_t> tie_rank,
+    std::size_t count, std::vector<UserId>& users) {
+  std::vector<UserId> rest;
+  rest.reserve(alive.CountSet());
+  alive.ForEachSet(
+      [&](std::size_t i) { rest.push_back(static_cast<UserId>(i)); });
+  const auto take = static_cast<std::ptrdiff_t>(std::min(count, rest.size()));
+  std::partial_sort(
+      rest.begin(), rest.begin() + take, rest.end(),
+      [&](UserId a, UserId b) { return tie_rank[a] < tie_rank[b]; });
+  users.insert(users.end(), rest.begin(), rest.begin() + take);
+  return static_cast<std::size_t>(take);
 }
 
 /// EBS gains: the set of ord-ranks of alive groups containing the user,
@@ -360,6 +219,114 @@ Selection RunEbsGreedy(const DiversificationInstance& instance,
 
 }  // namespace
 
+std::vector<UserId> RunScalarGreedy(const GroupIndex& groups,
+                                    std::span<const std::uint32_t> coverage,
+                                    std::span<const double> weights,
+                                    std::span<const std::uint8_t> tiers,
+                                    std::span<const std::uint32_t> tie_rank,
+                                    std::span<const UserId> pool,
+                                    std::size_t budget) {
+  const std::size_t num_users = groups.user_count();
+  const std::size_t num_groups = groups.group_count();
+
+  // Phase accounting: "greedy.init" covers the marginal-gain setup,
+  // "greedy.rounds" the selection loop.
+  std::optional<obs::Span> phase;
+  phase.emplace("greedy.init");
+  SoaState state(num_users, num_groups);
+  std::copy(coverage.begin(), coverage.end(), state.remaining.begin());
+  for (UserId u : pool) {
+    state.in_pool[u] = 1;
+    state.alive.Set(u);
+  }
+  bool has_tier1 = false;
+  for (GroupId g = 0; g < num_groups; ++g) {
+    const std::uint8_t tier = tiers[g];
+    state.w0[g] = tier == 0 ? weights[g] : 0.0;
+    state.w1[g] = tier == 1 ? weights[g] : 0.0;
+    has_tier1 |= tier == 1;
+  }
+  const bool exact_reassoc = ExactUnderReassociation(weights);
+  const double* w1_or_null = has_tier1 ? state.w1.data() : nullptr;
+
+  // Line 2 of Algorithm 1: marg_{u,∅} = Σ_{G ∋ u} wei(G), accumulated per
+  // tier by the kernel over the pre-split weight arrays (groups of other
+  // tiers contribute an exact +0.0). Pool users are distinct, so chunks
+  // write disjoint gain slots.
+  util::ParallelFor(
+      pool.size(),
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const UserId u = pool[i];
+          kernels::AccumulateTieredGains(groups.groups_of(u), state.w0.data(),
+                                         w1_or_null, exact_reassoc,
+                                         &state.gain0[u], &state.gain1[u]);
+        }
+      },
+      kPoolGrain);
+
+  // Prefer larger gains (tier 0, then tier 1); among equal gains, smaller
+  // tie rank.
+  auto better = [&](UserId a, UserId b) {
+    if (state.gain0[a] != state.gain0[b]) return state.gain0[a] > state.gain0[b];
+    if (state.gain1[a] != state.gain1[b]) return state.gain1[a] > state.gain1[b];
+    return tie_rank[a] < tie_rank[b];
+  };
+
+  phase.emplace("greedy.rounds");
+  GreedyRunStats stats;
+  std::vector<UserId> selected;
+  selected.reserve(std::min(budget, pool.size()));
+  std::size_t pool_left = pool.size();
+  bool zero_gain_tail = false;
+  for (std::size_t round = 0; round < budget && pool_left > 0; ++round) {
+    // Line 5: maxUser = argmax marg. The bitset walk visits users in
+    // ascending id order rather than pool order; the argmax is the same
+    // because (gain0, gain1, tie_rank) is a strict total order over
+    // distinct pool users — no two compare equal, so the winner does not
+    // depend on iteration order.
+    UserId chosen = kInvalidUser;
+    state.alive.ForEachSet([&](std::size_t i) {
+      const UserId u = static_cast<UserId>(i);
+      if (chosen == kInvalidUser || better(u, chosen)) chosen = u;
+    });
+    // Exact weights make every gain an exact sum of non-negative alive-group
+    // weights, so a zero maximum is zero everywhere, for good (core/greedy.h).
+    if (exact_reassoc && state.gain0[chosen] == 0.0 &&
+        state.gain1[chosen] == 0.0) {
+      zero_gain_tail = true;
+      break;
+    }
+
+    // Lines 6-10: move the user, decrement coverage, retire dead groups
+    // and charge their weight back from other members' marginal gains.
+    selected.push_back(chosen);
+    state.in_pool[chosen] = 0;
+    state.alive.Clear(chosen);
+    --pool_left;
+    const auto adjacent = groups.groups_of(chosen);
+    kernels::PrefetchRange(adjacent.data(), adjacent.size() * sizeof(GroupId));
+    for (GroupId g : adjacent) {
+      const std::uint8_t tier = tiers[g];
+      if (tier >= kIgnoredTier || state.group_dead[g]) continue;
+      if (--state.remaining[g] > 0) continue;
+      state.group_dead[g] = 1;
+      ++stats.retired_groups;
+      double* gains = tier == 0 ? state.gain0.data() : state.gain1.data();
+      stats.retired_links += kernels::RetireSpan(
+          groups.members(g), state.in_pool.data(), gains, weights[g]);
+    }
+    ++stats.rounds;
+  }
+  if (zero_gain_tail) {
+    stats.tail_users = AppendZeroGainTail(state.alive, tie_rank,
+                                          budget - selected.size(), selected);
+    stats.rounds += stats.tail_users;
+  }
+  stats.Publish(*phase);
+  return selected;
+}
+
 Result<Selection> GreedySelector::Select(
     const DiversificationInstance& instance, std::size_t budget) const {
   obs::Span select_span("greedy.select");
@@ -451,8 +418,12 @@ Result<Selection> GreedySelector::Select(
     }
   }
   setup_span.reset();
-  return RunScalarGreedy(instance, budget, pool, tiers, tie_rank, weights,
-                         options_.mode);
+  Selection selection;
+  selection.users = RunScalarGreedy(instance.groups(), instance.coverage(),
+                                    weights, tiers, tie_rank, pool, budget);
+  obs::Span score_span("greedy.score");
+  selection.score = TotalScore(instance, selection.users);
+  return selection;
 }
 
 }  // namespace podium

@@ -3,22 +3,21 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "podium/core/selection.h"
 
 namespace podium {
 
-/// Implementation strategy for the argmax step of Algorithm 1.
+/// The argmax step of Algorithm 1 has one implementation, the plain scan
+/// (RunScalarGreedy below). This enum and the `mode` members that carry it
+/// (GreedyOptions, SelectCustomized, ShardedSelector, the serve request
+/// and outcome) are inert: nothing in the library reads them, and they
+/// remain only because the repository benchmark still compiles against
+/// them. The next benchmark change deletes them.
 enum class GreedyMode {
-  /// Linear scan over the candidate pool each round — the paper's
-  /// formulation, O(B · |𝒰|) scan cost on top of the update cost.
   kPlainScan,
-  /// Max-heap with lazy re-insertion of stale entries. Marginal gains are
-  /// maintained exactly by the coverage updates, so popped entries whose
-  /// cached key is outdated are re-pushed with the current value; by
-  /// submodularity gains only decrease, keeping the heap admissible.
-  kLazyHeap,
 };
 
 struct GreedyOptions {
@@ -55,6 +54,32 @@ struct GreedyOptions {
   double weight_noise = 0.0;
   std::uint64_t weight_noise_seed = 0;
 };
+
+/// The scalar-weight (Iden/LBS) loop of Algorithm 1, Lines 2-10: the one
+/// greedy that GreedySelector::Select runs and that the sharded merge
+/// round runs over its candidate union. `groups` supplies the adjacency;
+/// `coverage` and `weights` (one entry per group) the objective; `tiers`
+/// (one entry per group) splits gains into tier 0, which dominates, and
+/// tier 1, with tier >= 2 ignored; `tie_rank` (one entry per user of
+/// `groups`) breaks gain ties toward the smaller rank; `pool` lists the
+/// distinct candidates. Returns up to `budget` users in pick order and
+/// records the run as the `greedy.init` and `greedy.rounds` spans.
+///
+/// Each round scans the alive pool for the argmax. Once that argmax has
+/// zero gain in both tiers and the weights are exact (non-negative
+/// integers summing below 2^52), every alive gain is exactly zero and
+/// stays zero, so the rest of the selection is the alive pool in ascending
+/// tie rank: the run appends it without scanning and counts those picks in
+/// the span's `rounds` and `tail_users`. Under weight noise, retirements
+/// leave float residues, so zero-gain candidates are not exact ties and
+/// the run never takes this tail.
+std::vector<UserId> RunScalarGreedy(const GroupIndex& groups,
+                                    std::span<const std::uint32_t> coverage,
+                                    std::span<const double> weights,
+                                    std::span<const std::uint8_t> tiers,
+                                    std::span<const std::uint32_t> tie_rank,
+                                    std::span<const UserId> pool,
+                                    std::size_t budget);
 
 /// Greedy User Selection (Algorithm 1) with the paper's data structures:
 /// bidirectional user↔group links, maintained marginal contributions, and

@@ -47,15 +47,11 @@ json::Value LabelArray(const std::vector<std::string>& labels) {
 
 }  // namespace
 
-std::string_view SelectorName(GreedyMode mode) {
-  return mode == GreedyMode::kLazyHeap ? "greedy-heap" : "greedy";
-}
-
-Result<GreedyMode> ParseSelectorName(std::string_view name) {
-  if (name == "greedy") return GreedyMode::kPlainScan;
-  if (name == "greedy-heap") return GreedyMode::kLazyHeap;
-  return Status::ParseError("unknown selector '" + std::string(name) +
-                            "' (expected \"greedy\" or \"greedy-heap\")");
+Status ParseSelectorName(std::string_view name) {
+  if (name == kSelectorName) return Status::Ok();
+  return Status::InvalidArgument("unknown selector '" + std::string(name) +
+                                 "' (the only selector is \"" +
+                                 std::string(kSelectorName) + "\")");
 }
 
 Result<SelectionRequest> SelectionRequestFromJson(
@@ -71,7 +67,7 @@ Result<SelectionRequest> SelectionRequestFromJson(
     } else if (key == "selector") {
       Result<std::string> name = value.GetString();
       if (!name.ok()) return name.status();
-      PODIUM_ASSIGN_OR_RETURN(request.mode, ParseSelectorName(name.value()));
+      PODIUM_RETURN_IF_ERROR(ParseSelectorName(name.value()));
     } else if (key == "weights") {
       Result<std::string> name = value.GetString();
       if (!name.ok()) return name.status();
@@ -112,7 +108,6 @@ std::string CanonicalRequestKey(std::uint64_t generation,
   json::Object key;
   key.Set("gen", json::Value(static_cast<double>(generation)));
   key.Set("budget", json::Value(request.budget));
-  key.Set("selector", json::Value(SelectorName(request.mode)));
   key.Set("weights",
           json::Value(request.weight_kind.has_value()
                           ? std::string(WeightKindName(*request.weight_kind))
@@ -134,7 +129,7 @@ std::string SerializeOutcome(const SelectionOutcome& outcome) {
   root.Set("snapshot_generation",
            json::Value(static_cast<double>(outcome.snapshot_generation)));
   root.Set("budget", json::Value(outcome.budget));
-  root.Set("selector", json::Value(SelectorName(outcome.mode)));
+  root.Set("selector", json::Value(kSelectorName));
   root.Set("weights", json::Value(WeightKindName(outcome.weight_kind)));
   root.Set("coverage", json::Value(CoverageKindName(outcome.coverage_kind)));
   root.Set("must_have", LabelArray(outcome.request.must_have));

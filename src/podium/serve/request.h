@@ -23,7 +23,7 @@ namespace podium::serve {
 /// JSON shape (every field optional; absent fields take snapshot/server
 /// defaults):
 ///
-///   {"budget": 8, "selector": "greedy" | "greedy-heap",
+///   {"budget": 8, "selector": "greedy",
 ///    "weights": "Iden" | "LBS" | "EBS", "coverage": "Single" | "Prop",
 ///    "must_have": ["livesIn Tokyo"], "must_not": [], "priority": [],
 ///    "explain": true, "deadline_ms": 2000}
@@ -47,9 +47,10 @@ struct SelectionRequest {
   }
 };
 
-/// The selector-choice wire names ("greedy", "greedy-heap").
-std::string_view SelectorName(GreedyMode mode);
-[[nodiscard]] Result<GreedyMode> ParseSelectorName(std::string_view name);
+/// The one selector wire name; replies echo it as "selector".
+inline constexpr std::string_view kSelectorName = "greedy";
+/// OK for kSelectorName; any other name is InvalidArgument naming it.
+[[nodiscard]] Status ParseSelectorName(std::string_view name);
 
 /// Parses a request document, rejecting unknown keys (typos in client
 /// requests fail loudly rather than silently taking defaults).

@@ -283,7 +283,6 @@ Result<std::string> SelectionService::RunSelection(
   SelectionOutcome outcome;
   outcome.snapshot_generation = snapshot.generation();
   outcome.request = request;
-  outcome.mode = request.mode;
   outcome.budget =
       request.budget > 0 ? request.budget : snapshot.options().instance.budget;
   outcome.weight_kind = request.weight_kind.value_or(
@@ -321,18 +320,16 @@ Result<std::string> SelectionService::RunSelection(
                             ResolveLabels(snapshot, request.must_not));
     PODIUM_ASSIGN_OR_RETURN(feedback.priority,
                             ResolveLabels(snapshot, request.priority));
-    Result<CustomSelection> custom = SelectCustomized(
-        *instance, feedback, outcome.budget, request.mode);
+    Result<CustomSelection> custom =
+        SelectCustomized(*instance, feedback, outcome.budget);
     if (!custom.ok()) return custom.status();
     outcome.users = std::move(custom->selection.users);
     outcome.score = custom->selection.score;
     outcome.custom_score = custom->score;
     outcome.refined_pool_size = custom->refined_pool_size;
   } else {
-    GreedyOptions greedy_options;
-    greedy_options.mode = request.mode;
     Result<Selection> selection =
-        GreedySelector(greedy_options).Select(*instance, outcome.budget);
+        GreedySelector().Select(*instance, outcome.budget);
     if (!selection.ok()) return selection.status();
     outcome.users = std::move(selection->users);
     outcome.score = selection->score;
@@ -374,9 +371,8 @@ Result<std::string> SelectionService::RunShardedSelection(
         "--shards>1 (cov(G) depends on B, which is baked into every shard)");
   }
 
-  shard::ShardedSelector selector(request.mode);
   Result<shard::ShardedSelection> selection =
-      selector.Select(sharded, outcome.budget);
+      shard::ShardedSelector().Select(sharded, outcome.budget);
   if (!selection.ok()) return selection.status();
   outcome.users = std::move(selection->merged.users);
   outcome.score = selection->merged.score;

@@ -1,6 +1,7 @@
 #include "podium/shard/sharded_selector.h"
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -17,10 +18,7 @@ namespace {
 /// labeled pool-size gauges are skipped (aggregate counters remain).
 constexpr std::size_t kMaxLabeledShards = 32;
 
-/// One merge-round candidate: a user from some shard's pool. Sorted by
-/// ascending global id so the argmax scan's first-strictly-greater rule
-/// breaks ties toward the lowest global id — the same deterministic
-/// tie-break as the single-snapshot greedy.
+/// One merge-round candidate: a user from some shard's pool.
 struct Candidate {
   UserId global = 0;
   std::uint32_t shard = 0;
@@ -63,10 +61,8 @@ Result<ShardedSelection> ShardedSelector::Select(
           util::Stopwatch watch;
           const ShardSnapshot& shard = snapshot.shard(s);
           if (shard.user_count() > 0) {
-            GreedyOptions options;
-            options.mode = mode_;
-            Result<Selection> pool = GreedySelector(std::move(options))
-                                         .Select(shard.instance, pool_budget);
+            Result<Selection> pool =
+                GreedySelector().Select(shard.instance, pool_budget);
             if (pool.ok()) {
               pools[s] = std::move(pool).value();
             } else {
@@ -85,7 +81,9 @@ Result<ShardedSelection> ShardedSelector::Select(
                      {"pool", static_cast<double>(result.pool_sizes[s])}});
   }
 
-  // Union the pools, sorted by ascending global id.
+  // Union the pools, sorted by ascending global id: a candidate's
+  // position in the union is its tie rank, so ties go to the lowest global
+  // id, as in the single-snapshot greedy.
   std::vector<Candidate> candidates;
   for (std::size_t s = 0; s < k; ++s) {
     const ShardSnapshot& shard = snapshot.shard(s);
@@ -100,60 +98,48 @@ Result<ShardedSelection> ShardedSelector::Select(
             });
   result.candidate_count = candidates.size();
 
-  // Round 2: one exact greedy over the union, against the global
-  // weights/coverage. Candidate adjacency comes from each candidate's
-  // shard-local CSR (whose group ids ARE the global ids); gains are
-  // maintained by retirement-style decrements — exact, because Iden/LBS
-  // weights are integers and every partial sum stays below 2^52.
+  // Round 2: the core greedy over the union, against the global
+  // weights/coverage. The union gets its own index whose user ids are
+  // candidate positions; each candidate's groups come from its shard-local
+  // CSR, whose group ids ARE the global ids. The merge reads adjacency
+  // only, so the group definitions stay default.
   {
     obs::Span merge_span("shard.merge");
-    const std::vector<double>& weights = snapshot.weights();
-    std::vector<std::uint32_t> remaining = snapshot.coverage();
-    const std::size_t num_groups = remaining.size();
-
     const std::size_t n = candidates.size();
-    std::vector<double> gain(n, 0.0);
-    std::vector<std::uint8_t> alive(n, 1);
-    std::vector<std::vector<std::uint32_t>> candidates_of_group(num_groups);
+    const std::size_t num_groups = snapshot.group_count();
+    std::vector<std::vector<UserId>> members(num_groups);
     for (std::size_t i = 0; i < n; ++i) {
       const ShardSnapshot& shard = snapshot.shard(candidates[i].shard);
       for (GroupId g : shard.instance.groups().groups_of(candidates[i].local)) {
-        gain[i] += weights[g];
-        candidates_of_group[g].push_back(static_cast<std::uint32_t>(i));
+        members[g].push_back(static_cast<UserId>(i));
       }
     }
-
-    std::vector<std::uint32_t> selected_per_group(num_groups, 0);
-    const std::size_t rounds = std::min(budget, n);
-    result.merged.users.reserve(rounds);
-    for (std::size_t round = 0; round < rounds; ++round) {
-      // Plain argmax scan (the union is small: ≤ K·pool_factor·B). First
-      // strictly-greater wins, so ties go to the lowest global id.
-      std::size_t best = n;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!alive[i]) continue;
-        if (best == n || gain[i] > gain[best]) best = i;
-      }
-      alive[best] = 0;
-      result.merged.users.push_back(candidates[best].global);
-
-      const ShardSnapshot& shard = snapshot.shard(candidates[best].shard);
-      for (GroupId g :
-           shard.instance.groups().groups_of(candidates[best].local)) {
-        ++selected_per_group[g];
-        if (remaining[g] == 0) continue;
-        if (--remaining[g] == 0) {
-          // Group satisfied: retire its weight from every live candidate.
-          for (std::uint32_t j : candidates_of_group[g]) {
-            if (alive[j]) gain[j] -= weights[g];
-          }
-        }
-      }
+    Result<GroupIndex> index = GroupIndex::FromMembership(
+        std::vector<GroupDef>(num_groups), members, n);
+    if (!index.ok()) return index.status();
+    std::vector<UserId> positions(n);
+    std::iota(positions.begin(), positions.end(), UserId{0});
+    const std::vector<std::uint8_t> tiers(num_groups, 0);
+    std::vector<UserId> picks;
+    {
+      // As in round 1, the greedy's own spans stay out of the request
+      // trace; the merge shows up there as shard.merge.
+      obs::TraceScope no_trace(nullptr);
+      picks = RunScalarGreedy(index.value(), snapshot.coverage(),
+                              snapshot.weights(), tiers, positions, positions,
+                              budget);
     }
 
     // Global score, summed in ascending group order — the same integer
     // TotalScore computes over the unsharded instance for this set.
     const std::vector<std::uint32_t>& coverage = snapshot.coverage();
+    const std::vector<double>& weights = snapshot.weights();
+    std::vector<std::uint32_t> selected_per_group(num_groups, 0);
+    result.merged.users.reserve(picks.size());
+    for (UserId i : picks) {
+      result.merged.users.push_back(candidates[i].global);
+      for (GroupId g : index->groups_of(i)) ++selected_per_group[g];
+    }
     double score = 0.0;
     for (GroupId g = 0; g < num_groups; ++g) {
       score += weights[g] *

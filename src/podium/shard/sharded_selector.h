@@ -30,22 +30,18 @@ struct ShardedSelection {
 };
 
 /// Two-round distributed greedy (the GreeDi shape; DESIGN.md §13):
-/// round 1 runs the lazy-heap greedy independently per shard — against
-/// the GLOBAL weights/coverage baked into each shard's instance — for a
+/// round 1 runs GreedySelector independently per shard — against the
+/// GLOBAL weights/coverage baked into each shard's instance — for a
 /// candidate pool of max(pool_factor·B, B) users; round 2 unions the
-/// pools and runs one exact greedy over the union. Guarantees
-/// f(merged) ≥ (1−1/e)²/min(K,B) · f(OPT), and at K=1 reproduces the
-/// single-snapshot greedy byte for byte.
+/// pools and runs the same core loop (RunScalarGreedy) over the union.
+/// Guarantees f(merged) ≥ (1−1/e)²/min(K,B) · f(OPT), and at K=1
+/// reproduces the single-snapshot greedy byte for byte.
 class ShardedSelector {
  public:
-  explicit ShardedSelector(GreedyMode mode = GreedyMode::kLazyHeap)
-      : mode_(mode) {}
+  explicit ShardedSelector(GreedyMode /*mode*/ = GreedyMode::kPlainScan) {}
 
   [[nodiscard]] Result<ShardedSelection> Select(
       const ShardedSnapshot& snapshot, std::size_t budget) const;
-
- private:
-  GreedyMode mode_;
 };
 
 }  // namespace podium::shard

@@ -48,10 +48,8 @@ DiversificationInstance BuildInstance(const ProfileRepository& repo,
 }
 
 Selection RunOptimized(const DiversificationInstance& instance,
-                       std::size_t budget, GreedyMode mode) {
-  GreedyOptions options;
-  options.mode = mode;
-  Result<Selection> selection = GreedySelector(options).Select(instance, budget);
+                       std::size_t budget) {
+  Result<Selection> selection = GreedySelector().Select(instance, budget);
   EXPECT_TRUE(selection.ok()) << selection.status();
   return std::move(selection).value();
 }
@@ -79,6 +77,9 @@ TEST(OracleTest, OracleScoreMatchesSingletonWeightSums) {
   }
 }
 
+// The greedy's two ways to pick a user — the round loop's argmax scan and,
+// once every gain is zero, the tie-rank tail — against the oracle: a short
+// budget stays in the scan, budget = user count ends in the tail.
 TEST(OracleTest, GreedyAgreesWithBothOptimizedModesOnRandomInstances) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     util::Rng rng(seed);
@@ -89,13 +90,12 @@ TEST(OracleTest, GreedyAgreesWithBothOptimizedModesOnRandomInstances) {
         const std::size_t budget = 1 + seed % 5;
         const DiversificationInstance instance =
             BuildInstance(repo, weight, cov, budget);
-        const Result<Selection> oracle = OracleGreedy(instance, budget);
-        ASSERT_TRUE(oracle.ok()) << oracle.status();
-        for (const GreedyMode mode :
-             {GreedyMode::kPlainScan, GreedyMode::kLazyHeap}) {
-          const Selection optimized = RunOptimized(instance, budget, mode);
+        for (const std::size_t run_budget : {budget, repo.user_count()}) {
+          const Result<Selection> oracle = OracleGreedy(instance, run_budget);
+          ASSERT_TRUE(oracle.ok()) << oracle.status();
+          const Selection optimized = RunOptimized(instance, run_budget);
           EXPECT_EQ(optimized.users, oracle->users)
-              << "seed " << seed << " mode " << static_cast<int>(mode);
+              << "seed " << seed << " budget " << run_budget;
           EXPECT_EQ(optimized.score, oracle->score);
         }
       }
@@ -120,8 +120,7 @@ TEST(InvariantsTest, GreedyOutputPassesAndCorruptionIsFlagged) {
   const ProfileRepository repo = RandomRepository(18, 5, 0.6, rng);
   const DiversificationInstance instance =
       BuildInstance(repo, WeightKind::kLbs, CoverageKind::kProp, 4);
-  const Selection selection =
-      RunOptimized(instance, 4, GreedyMode::kLazyHeap);
+  const Selection selection = RunOptimized(instance, 4);
 
   EXPECT_TRUE(CheckGreedyRun(instance, selection, 4).ok());
 
@@ -152,8 +151,7 @@ TEST(InvariantsTest, ApproximationRatioHoldsOnTinyInstances) {
     const ProfileRepository repo = RandomRepository(9, 4, 0.6, rng);
     const DiversificationInstance instance =
         BuildInstance(repo, WeightKind::kIden, CoverageKind::kSingle, 3);
-    const Selection selection =
-        RunOptimized(instance, 3, GreedyMode::kLazyHeap);
+    const Selection selection = RunOptimized(instance, 3);
     const InvariantReport report =
         CheckApproximationRatio(instance, selection, 3);
     EXPECT_TRUE(report.ok())
@@ -167,6 +165,7 @@ TEST(DifferentialTest, ShortRunHasNoDivergences) {
   options.rounds = 4;
   options.thread_counts = {1, 2};
   options.with_serve = true;
+  options.shard_counts = {1, 3};
   const DiffReport report = RunDifferential(options);
   EXPECT_EQ(report.rounds_run, 4);
   EXPECT_TRUE(report.ok())

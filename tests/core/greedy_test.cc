@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "podium/check/oracle.h"
 #include "podium/core/exhaustive.h"
 #include "podium/core/score.h"
+#include "podium/obs/trace.h"
 #include "podium/util/rng.h"
 #include "tests/testing/table2.h"
 
@@ -140,31 +144,80 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ApproximationTest,
                          ::testing::Values(11, 22, 33, 44, 55, 66));
 
 // ---------------------------------------------------------------------------
-// Plain-scan and lazy-heap modes are exactly equivalent.
+// Long budgets end in the zero-gain tail, which must pick exactly what
+// Algorithm 1 picks, on the full pool and on a restricted pool with tiers.
+// Weight noise leaves float residues in the gains, so it never takes the
+// tail.
 // ---------------------------------------------------------------------------
 
-class GreedyModeTest : public ::testing::TestWithParam<std::uint64_t> {};
+/// Runs `options` at `budget` under a fresh request trace; returns the
+/// selection and the run's `tail_users` attribute.
+std::pair<Selection, double> RunTraced(const DiversificationInstance& instance,
+                                       const GreedyOptions& options,
+                                       std::size_t budget) {
+  obs::TraceContext trace(obs::TraceId::Generate());
+  obs::TraceScope scope(&trace);
+  Result<Selection> selection = GreedySelector(options).Select(instance, budget);
+  EXPECT_TRUE(selection.ok()) << selection.status();
+  for (const obs::TraceSpan& span : trace.spans()) {
+    if (span.name != "greedy.rounds") continue;
+    for (const obs::SpanAttribute& attribute : span.attributes) {
+      if (attribute.key == "tail_users") {
+        return {std::move(selection).value(), attribute.value};
+      }
+    }
+  }
+  ADD_FAILURE() << "greedy.rounds carries no tail_users attribute";
+  return {std::move(selection).value(), -1.0};
+}
 
-TEST_P(GreedyModeTest, LazyHeapMatchesPlainScan) {
+class ZeroGainTailTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ZeroGainTailTest, BudgetEqualToUserCountMatchesOracle) {
   util::Rng rng(GetParam());
   const ProfileRepository repo = RandomRepository(60, 12, 0.4, rng);
+  const std::size_t all = repo.user_count();
   for (WeightKind weight : {WeightKind::kIden, WeightKind::kLbs}) {
-    const DiversificationInstance instance =
-        RandomInstance(repo, weight, CoverageKind::kSingle, 10);
-    GreedyOptions plain;
-    plain.mode = GreedyMode::kPlainScan;
-    GreedyOptions lazy;
-    lazy.mode = GreedyMode::kLazyHeap;
-    Result<Selection> a = GreedySelector(plain).Select(instance, 10);
-    Result<Selection> b = GreedySelector(lazy).Select(instance, 10);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a->users, b->users);
-    EXPECT_DOUBLE_EQ(a->score, b->score);
+    for (CoverageKind cov : {CoverageKind::kSingle, CoverageKind::kProp}) {
+      const DiversificationInstance instance =
+          RandomInstance(repo, weight, cov, 10);
+      GreedyOptions restricted;
+      for (UserId u = 0; u < all; ++u) {
+        if (rng.NextBernoulli(0.6)) restricted.candidate_pool.push_back(u);
+      }
+      for (GroupId g = 0; g < instance.groups().group_count(); ++g) {
+        restricted.group_tiers.push_back(
+            static_cast<std::uint8_t>(rng.NextBounded(3)));
+      }
+      for (const GreedyOptions& options : {GreedyOptions{}, restricted}) {
+        const std::string what =
+            std::string(WeightKindName(weight)) + "/" +
+            std::string(CoverageKindName(cov)) +
+            (options.candidate_pool.empty() ? " full pool"
+                                            : " restricted pool, tiers");
+        const auto [selection, tail_users] =
+            RunTraced(instance, options, all);
+        Result<Selection> oracle = check::OracleGreedy(
+            instance, all, options.candidate_pool, options.group_tiers);
+        ASSERT_TRUE(oracle.ok()) << oracle.status();
+        EXPECT_EQ(selection.users, oracle->users) << what;
+        EXPECT_EQ(selection.score, oracle->score) << what;
+        EXPECT_GT(tail_users, 0.0) << what;
+
+        GreedyOptions noisy = options;
+        noisy.weight_noise = 0.1;
+        noisy.weight_noise_seed = GetParam();
+        const auto [noisy_selection, noisy_tail_users] =
+            RunTraced(instance, noisy, all);
+        EXPECT_EQ(noisy_selection.users.size(), selection.users.size())
+            << what;
+        EXPECT_EQ(noisy_tail_users, 0.0) << what;
+      }
+    }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, GreedyModeTest,
+INSTANTIATE_TEST_SUITE_P(Seeds, ZeroGainTailTest,
                          ::testing::Values(7, 8, 9, 10));
 
 // ---------------------------------------------------------------------------

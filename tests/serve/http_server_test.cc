@@ -160,6 +160,14 @@ TEST_F(HttpServerTest, UnknownFieldIs400) {
       RoundTrip(client, "POST", "/v1/select", R"({"budgetz": 2})");
   EXPECT_EQ(response.status, 400);
   EXPECT_NE(response.body.find("budgetz"), std::string::npos);
+  // A known field with a value it does not accept: the error names the
+  // one selector there is.
+  const HttpResponse heap = RoundTrip(client, "POST", "/v1/select",
+                                      R"({"selector": "greedy-heap"})");
+  EXPECT_EQ(heap.status, 400);
+  EXPECT_NE(heap.body.find("InvalidArgument"), std::string::npos);
+  EXPECT_NE(heap.body.find("\\\"greedy\\\""), std::string::npos)
+      << heap.body;
 }
 
 TEST_F(HttpServerTest, UnknownLabelIs404) {

@@ -21,17 +21,21 @@ SelectionRequest MustParseRequest(std::string_view text) {
 }
 
 TEST(SelectorNameTest, RoundTrips) {
-  EXPECT_EQ(SelectorName(GreedyMode::kPlainScan), "greedy");
-  EXPECT_EQ(SelectorName(GreedyMode::kLazyHeap), "greedy-heap");
-  EXPECT_EQ(ParseSelectorName("greedy").value(), GreedyMode::kPlainScan);
-  EXPECT_EQ(ParseSelectorName("greedy-heap").value(), GreedyMode::kLazyHeap);
-  EXPECT_FALSE(ParseSelectorName("dijkstra").ok());
+  EXPECT_EQ(kSelectorName, "greedy");
+  EXPECT_TRUE(ParseSelectorName(kSelectorName).ok());
+  // There is one selector; every other name is rejected with a message
+  // naming the one accepted value.
+  for (const char* name : {"greedy-heap", "dijkstra", "Greedy", ""}) {
+    const Status status = ParseSelectorName(name);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(status.message().find("\"greedy\""), std::string::npos)
+        << status;
+  }
 }
 
 TEST(SelectionRequestFromJsonTest, EmptyObjectTakesDefaults) {
   const SelectionRequest request = MustParseRequest("{}");
   EXPECT_EQ(request.budget, 0u);
-  EXPECT_EQ(request.mode, GreedyMode::kPlainScan);
   EXPECT_FALSE(request.weight_kind.has_value());
   EXPECT_FALSE(request.coverage_kind.has_value());
   EXPECT_FALSE(request.customized());
@@ -41,13 +45,12 @@ TEST(SelectionRequestFromJsonTest, EmptyObjectTakesDefaults) {
 
 TEST(SelectionRequestFromJsonTest, FullRequestParses) {
   const SelectionRequest request = MustParseRequest(R"({
-    "budget": 4, "selector": "greedy-heap",
+    "budget": 4, "selector": "greedy",
     "weights": "Iden", "coverage": "Prop",
     "must_have": ["livesIn Tokyo"], "must_not": ["livesIn NYC"],
     "priority": ["livesIn Paris", "livesIn Bali"],
     "explain": true, "deadline_ms": 1500})");
   EXPECT_EQ(request.budget, 4u);
-  EXPECT_EQ(request.mode, GreedyMode::kLazyHeap);
   ASSERT_TRUE(request.weight_kind.has_value());
   EXPECT_EQ(*request.weight_kind, WeightKind::kIden);
   ASSERT_TRUE(request.coverage_kind.has_value());
@@ -77,6 +80,10 @@ TEST(SelectionRequestFromJsonTest, RejectsNonObjectAndBadTypes) {
   EXPECT_FALSE(ParseRequest(R"({"budget": 2.5})").ok());
   EXPECT_FALSE(ParseRequest(R"({"budget": -3})").ok());
   EXPECT_FALSE(ParseRequest(R"({"selector": 7})").ok());
+  const Result<SelectionRequest> heap =
+      ParseRequest(R"({"selector": "greedy-heap"})");
+  ASSERT_FALSE(heap.ok());
+  EXPECT_EQ(heap.status().code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(ParseRequest(R"({"weights": "heavy"})").ok());
   EXPECT_FALSE(ParseRequest(R"({"coverage": "Twice"})").ok());
   EXPECT_FALSE(ParseRequest(R"({"must_have": "livesIn Tokyo"})").ok());
@@ -107,8 +114,6 @@ TEST(CanonicalRequestKeyTest, ResultAffectingFieldsSplitTheKey) {
   const std::string key = CanonicalRequestKey(1, base);
   EXPECT_NE(key, CanonicalRequestKey(2, base));  // generation
   EXPECT_NE(key, CanonicalRequestKey(1, MustParseRequest(R"({"budget": 5})")));
-  EXPECT_NE(key, CanonicalRequestKey(1, MustParseRequest(
-                     R"({"budget": 4, "selector": "greedy-heap"})")));
   EXPECT_NE(key, CanonicalRequestKey(1, MustParseRequest(
                      R"({"budget": 4, "weights": "Iden"})")));
   EXPECT_NE(key, CanonicalRequestKey(1, MustParseRequest(

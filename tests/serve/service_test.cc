@@ -94,7 +94,7 @@ TEST_F(SelectionServiceTest, RepeatedRequestServedFromCacheByteIdentical) {
 TEST_F(SelectionServiceTest, CustomizationRoundTripPreservesConfiguration) {
   SelectionService service(BuildTable2Snapshot(1), ServiceOptions{});
   const SelectionRequest request = ParseRequest(R"({
-    "budget": 2, "selector": "greedy-heap",
+    "budget": 2, "selector": "greedy",
     "weights": "Iden", "coverage": "Single",
     "must_not": ["livesIn Tokyo"], "priority": ["livesIn NYC"]})");
 
@@ -105,7 +105,7 @@ TEST_F(SelectionServiceTest, CustomizationRoundTripPreservesConfiguration) {
 
   // The request's configuration must survive the round trip exactly.
   EXPECT_EQ(root.Find("budget")->AsNumber(), 2.0);
-  EXPECT_EQ(root.Find("selector")->AsString(), "greedy-heap");
+  EXPECT_EQ(root.Find("selector")->AsString(), "greedy");
   EXPECT_EQ(root.Find("weights")->AsString(), "Iden");
   EXPECT_EQ(root.Find("coverage")->AsString(), "Single");
   ASSERT_EQ(root.Find("must_not")->AsArray().size(), 1u);
@@ -367,13 +367,14 @@ TEST_F(SelectionServiceTest, CoalescedCallersShareTheLeaderError) {
 TEST_F(SelectionServiceTest, RequestsSharingInstanceParametersReusePool) {
   SelectionService service(BuildTable2Snapshot(1), ServiceOptions{});
 
-  // Distinct cache keys (different selector), same non-default instance
-  // parameters (EBS weights): the second request must reuse the pooled
+  // Distinct cache keys (different budget), same non-default instance
+  // parameters (Iden weights; under Single coverage the budget does not
+  // change the instance): the second request must reuse the pooled
   // instance instead of rebuilding it.
   const SelectionRequest first =
-      ParseRequest(R"({"weights": "ebs", "selector": "greedy"})");
+      ParseRequest(R"({"weights": "Iden", "budget": 2})");
   const SelectionRequest second =
-      ParseRequest(R"({"weights": "ebs", "selector": "greedy-heap"})");
+      ParseRequest(R"({"weights": "Iden", "budget": 3})");
   Result<ServiceReply> first_reply = service.Select(first);
   ASSERT_TRUE(first_reply.ok()) << first_reply.status();
   EXPECT_EQ(CounterValue("serve.batch.instance_reuse"), 0u);
@@ -382,12 +383,17 @@ TEST_F(SelectionServiceTest, RequestsSharingInstanceParametersReusePool) {
   EXPECT_EQ(CounterValue("serve.batch.instance_reuse"), 1u);
   EXPECT_FALSE(second_reply->cache_hit);
 
-  // Both selector modes agree on the EBS instance (same greedy optimum).
-  EXPECT_EQ(ParseBody(first_reply->body).AsObject().Find("score")->AsNumber(),
-            ParseBody(second_reply->body)
-                .AsObject()
-                .Find("score")
-                ->AsNumber());
+  // Same instance, so the budget-2 selection is the budget-3 one's prefix.
+  const json::Value short_body = ParseBody(first_reply->body);
+  const json::Value long_body = ParseBody(second_reply->body);
+  const json::Array& short_users =
+      short_body.AsObject().Find("users")->AsArray();
+  const json::Array& long_users = long_body.AsObject().Find("users")->AsArray();
+  ASSERT_EQ(short_users.size(), 2u);
+  ASSERT_EQ(long_users.size(), 3u);
+  for (std::size_t i = 0; i < short_users.size(); ++i) {
+    EXPECT_EQ(short_users.at(i), long_users.at(i));
+  }
 
   // A snapshot swap obsoletes the pool: the same request builds afresh
   // for the new generation.

@@ -258,14 +258,21 @@ TEST(ShardedSelectorTest, SingleShardIsByteIdenticalToUnsharded) {
       const ShardFixture f = ShardFixture::Make(130, 5, weights, coverage);
       Result<std::shared_ptr<const ShardedSnapshot>> snapshot = f.Sharded(1);
       ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-      for (const GreedyMode mode :
-           {GreedyMode::kPlainScan, GreedyMode::kLazyHeap}) {
-        Result<ShardedSelection> selection =
-            ShardedSelector(mode).Select(*snapshot.value(), 5);
-        ASSERT_TRUE(selection.ok()) << selection.status().ToString();
-        EXPECT_EQ(selection->merged.users, f.unsharded.users);
-        EXPECT_EQ(selection->merged.score, f.unsharded.score);
-      }
+      Result<ShardedSelection> selection =
+          ShardedSelector().Select(*snapshot.value(), 5);
+      ASSERT_TRUE(selection.ok()) << selection.status().ToString();
+      EXPECT_EQ(selection->merged.users, f.unsharded.users);
+      EXPECT_EQ(selection->merged.score, f.unsharded.score);
+
+      // Selecting everyone ends both rounds in the zero-gain tail.
+      const std::size_t all = f.data.repository.user_count();
+      Result<Selection> unsharded_all = GreedySelector().Select(f.instance, all);
+      Result<ShardedSelection> sharded_all =
+          ShardedSelector().Select(*snapshot.value(), all);
+      ASSERT_TRUE(unsharded_all.ok());
+      ASSERT_TRUE(sharded_all.ok()) << sharded_all.status().ToString();
+      EXPECT_EQ(sharded_all->merged.users, unsharded_all->users);
+      EXPECT_EQ(sharded_all->merged.score, unsharded_all->score);
     }
   }
 }

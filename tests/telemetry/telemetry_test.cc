@@ -168,22 +168,19 @@ DiversificationInstance MakeInstance(std::size_t budget) {
   return std::move(instance).value();
 }
 
-Selection RunGreedy(GreedyMode mode, std::size_t budget) {
-  GreedyOptions options;
-  options.mode = mode;
+Selection RunGreedy(std::size_t budget) {
   const DiversificationInstance instance = MakeInstance(budget);
-  Result<Selection> selection =
-      GreedySelector(options).Select(instance, budget);
+  Result<Selection> selection = GreedySelector().Select(instance, budget);
   if (!selection.ok()) std::abort();
   return std::move(selection).value();
 }
 
 /// Runs the greedy under a fresh request trace and returns the trace.
-obs::TraceContext RunTracedGreedy(GreedyMode mode, std::size_t budget,
+obs::TraceContext RunTracedGreedy(std::size_t budget,
                                   Selection* selection_out) {
   obs::TraceContext trace(obs::TraceId::Generate());
   obs::TraceScope scope(&trace);
-  *selection_out = RunGreedy(mode, budget);
+  *selection_out = RunGreedy(budget);
   return trace;
 }
 
@@ -207,7 +204,7 @@ TEST_F(TelemetryTest, GreedyRoundsSpanCarriesRunTotals) {
   constexpr std::size_t kBudget = 3;
   Selection selection;
   const obs::TraceContext trace =
-      RunTracedGreedy(GreedyMode::kPlainScan, kBudget, &selection);
+      RunTracedGreedy(kBudget, &selection);
   // greedy.select -> setup / init / rounds / score, in that order.
   const std::vector<obs::TraceSpan>& spans = trace.spans();
   ASSERT_EQ(spans.size(), 5u);
@@ -235,32 +232,32 @@ TEST_F(TelemetryTest, GreedyRoundsSpanCarriesRunTotals) {
   EXPECT_EQ(SpanHistogram("greedy.rounds").Count(), 1u);
 }
 
-TEST_F(TelemetryTest, LazyHeapTraceMatchesPlainScan) {
-  constexpr std::size_t kBudget = 3;
-  Selection plain_selection;
-  const obs::TraceContext plain =
-      RunTracedGreedy(GreedyMode::kPlainScan, kBudget, &plain_selection);
-  Selection lazy_selection;
-  const obs::TraceContext lazy =
-      RunTracedGreedy(GreedyMode::kLazyHeap, kBudget, &lazy_selection);
-  EXPECT_EQ(plain_selection.users, lazy_selection.users);
-  for (const char* key : {"rounds", "retired_links", "retired_groups"}) {
-    EXPECT_EQ(Attribute(plain, "greedy.rounds", key),
-              Attribute(lazy, "greedy.rounds", key))
-        << key;
-  }
-  // The lazy heap works for its argmax; the plain scan pops nothing.
-  EXPECT_EQ(Attribute(plain, "greedy.rounds", "heap_pops"), 0.0);
-  EXPECT_GE(Attribute(lazy, "greedy.rounds", "heap_pops"),
-            static_cast<double>(kBudget));
+// Selecting every user of Table 2 ends the run in the zero-gain tail: the
+// picks it appends count in `rounds` and in `tail_users`, and both match
+// the counters.
+TEST_F(TelemetryTest, ZeroGainTailCountsOnTheRoundsSpan) {
+  const std::size_t all = Table2Repo().user_count();
+  Selection selection;
+  const obs::TraceContext trace = RunTracedGreedy(all, &selection);
+  EXPECT_EQ(selection.users.size(), all);
+  auto& registry = MetricsRegistry::Global();
+  EXPECT_EQ(Attribute(trace, "greedy.rounds", "rounds"),
+            static_cast<double>(all));
+  const double tail_users = Attribute(trace, "greedy.rounds", "tail_users");
+  EXPECT_GT(tail_users, 0.0);
+  EXPECT_LT(tail_users, static_cast<double>(all));
+  EXPECT_EQ(tail_users, static_cast<double>(
+                            registry.counter("greedy.tail_users").Value()));
+  EXPECT_EQ(Attribute(trace, "greedy.rounds", "rounds"),
+            static_cast<double>(registry.counter("greedy.rounds").Value()));
 }
 
 TEST_F(TelemetryTest, TraceSeparatesConsecutiveRuns) {
   obs::TraceContext trace(obs::TraceId::Generate());
   {
     obs::TraceScope scope(&trace);
-    RunGreedy(GreedyMode::kPlainScan, 2);
-    RunGreedy(GreedyMode::kPlainScan, 2);
+    RunGreedy(2);
+    RunGreedy(2);
   }
   std::size_t roots = 0;
   for (const obs::TraceSpan& span : trace.spans()) {
@@ -280,7 +277,7 @@ TEST_F(TelemetryTest, TraceSeparatesConsecutiveRuns) {
 // no record anywhere: no counter or span histogram moves.
 TEST_F(TelemetryTest, DisabledGreedyRecordsNoTrace) {
   SetEnabled(false);
-  RunGreedy(GreedyMode::kPlainScan, 2);
+  RunGreedy(2);
   SetEnabled(true);
   const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
   for (const auto& [name, value] : snapshot.counters) {
@@ -316,7 +313,7 @@ TEST_F(TelemetryTest, ExportStaysBoundedOverRepeatedRuns) {
 
 TEST_F(TelemetryTest, JsonExportMatchesDocumentedSchema) {
   constexpr std::size_t kBudget = 2;
-  RunGreedy(GreedyMode::kLazyHeap, kBudget);
+  RunGreedy(kBudget);
 
   const json::Value root = TelemetryToJson();
   ASSERT_TRUE(root.is_object());
@@ -337,6 +334,7 @@ TEST_F(TelemetryTest, JsonExportMatchesDocumentedSchema) {
   const json::Value* rounds = counters->AsObject().Find("greedy.rounds");
   ASSERT_NE(rounds, nullptr);
   EXPECT_EQ(rounds->AsNumber(), static_cast<double>(kBudget));
+  EXPECT_NE(counters->AsObject().Find("greedy.tail_users"), nullptr);
 
   ASSERT_NE(object.Find("gauges"), nullptr);
   EXPECT_TRUE(object.Find("gauges")->is_object());
@@ -380,7 +378,7 @@ TEST_F(TelemetryTest, JsonExportEscapesHostileMetricNames) {
 }
 
 TEST_F(TelemetryTest, WriteTelemetryJsonRoundTrips) {
-  RunGreedy(GreedyMode::kPlainScan, 2);
+  RunGreedy(2);
   const std::string path =
       ::testing::TempDir() + "/podium_telemetry_test.json";
   ASSERT_TRUE(WriteTelemetryJson(path).ok());
@@ -392,7 +390,7 @@ TEST_F(TelemetryTest, WriteTelemetryJsonRoundTrips) {
 }
 
 TEST_F(TelemetryTest, RenderTimingSummaryListsPhasesAndCounters) {
-  RunGreedy(GreedyMode::kPlainScan, 2);
+  RunGreedy(2);
   const std::string summary = RenderTimingSummary();
   // One flat line per span (name, completions, seconds), then counters.
   EXPECT_NE(summary.find("greedy.select"), std::string::npos);
@@ -403,7 +401,7 @@ TEST_F(TelemetryTest, RenderTimingSummaryListsPhasesAndCounters) {
 }
 
 TEST_F(TelemetryTest, ResetAllTelemetryClearsEveryStore) {
-  RunGreedy(GreedyMode::kPlainScan, 2);
+  RunGreedy(2);
   ResetAllTelemetry();
   EXPECT_EQ(MetricsRegistry::Global()
                 .counter("greedy.rounds")

@@ -1,9 +1,12 @@
 // Differential-correctness driver: generates small seeded instances and
-// asserts that the naïve Algorithm-1 oracle, the optimized selectors
-// (plain scan, lazy heap, 1/2/8 threads, forced-scalar and native SIMD
-// kernels), and the serve-layer SelectionService all agree byte for byte
-// — then fuzzes the JSON and HTTP parsers through their production entry
-// points.
+// asserts that the naïve Algorithm-1 oracle, the optimized greedy (at
+// 1/2/8 threads, under forced-scalar and native SIMD kernels, and at
+// budget = user count, where runs end in the zero-gain tail), the
+// customized path, and the serve-layer SelectionService all agree byte
+// for byte — then fuzzes the JSON and HTTP parsers through their
+// production entry points. Under --shard-sweep the sharded engine must
+// match the oracle as well: the single-snapshot oracle at K=1, and at K>1
+// the oracle run over the union of the oracle's round-1 pools.
 //
 // Exit status is nonzero on any divergence; every message carries the
 // round seed, so a failure reproduces with --seed=<printed> --rounds=1.

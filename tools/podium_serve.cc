@@ -22,6 +22,9 @@
 //                     "must_have": [...], "must_not": [...],
 //                     "priority": [...], "explain": true,
 //                     "deadline_ms": 2000}
+//                    every field optional; "selector" accepts only
+//                    "greedy" (anything else is a 400 naming it), and
+//                    replies echo it
 //   GET  /healthz    liveness + snapshot generation/size/age
 //   GET  /metrics    telemetry JSON (counters, gauges, span histograms);
 //                    ?format=prometheus for Prometheus text exposition

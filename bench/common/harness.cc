@@ -8,9 +8,9 @@
 #include "podium/baselines/kmeans_selector.h"
 #include "podium/baselines/random_selector.h"
 #include "podium/core/greedy.h"
+#include "podium/obs/export.h"
+#include "podium/obs/metrics.h"
 #include "podium/obs/trace.h"
-#include "podium/telemetry/export.h"
-#include "podium/telemetry/telemetry.h"
 #include "podium/util/stopwatch.h"
 #include "podium/util/thread_pool.h"
 
@@ -21,21 +21,20 @@ namespace {
 /// Selector-internal setup seconds recorded so far: the sums of the span
 /// histograms the GreedySelector fills before its selection loop.
 double SetupSeconds() {
-  auto& registry = telemetry::MetricsRegistry::Global();
-  return registry.histogram(telemetry::SpanMetricName("greedy.setup")).Sum() +
-         registry.histogram(telemetry::SpanMetricName("greedy.init")).Sum();
+  auto& registry = obs::MetricsRegistry::Global();
+  return registry.histogram(obs::SpanMetricName("greedy.setup")).Sum() +
+         registry.histogram(obs::SpanMetricName("greedy.init")).Sum();
 }
 
 }  // namespace
 
 std::string InitTelemetry(Flags& flags) {
-  telemetry::SetEnabled(true);
   return flags.String("telemetry-out", "");
 }
 
 void FinishTelemetry(const std::string& path) {
   if (path.empty()) return;
-  const Status status = telemetry::WriteTelemetryJson(path);
+  const Status status = obs::WriteTelemetryJson(path);
   if (!status.ok()) {
     std::fprintf(stderr, "telemetry export failed: %s\n",
                  status.ToString().c_str());
@@ -105,9 +104,7 @@ std::vector<TimedSelection> RunSelectors(
 
   std::vector<TimedSelection> results;
   for (const auto& selector : selectors) {
-    const bool split_phases = telemetry::Enabled();
-    double setup_before = 0.0;
-    if (split_phases) setup_before = SetupSeconds();
+    const double setup_before = SetupSeconds();
     util::Stopwatch stopwatch;
     Result<Selection> selection = [&] {
       obs::Span span("select." + selector->Name());
@@ -119,13 +116,10 @@ std::vector<TimedSelection> RunSelectors(
                    selection.status().ToString().c_str());
       std::exit(1);
     }
-    TimedSelection timed{selector->Name(), std::move(selection).value(),
-                         seconds, 0.0, seconds};
-    if (split_phases) {
-      timed.setup_seconds = SetupSeconds() - setup_before;
-      timed.select_seconds = seconds - timed.setup_seconds;
-    }
-    results.push_back(std::move(timed));
+    const double setup_seconds = SetupSeconds() - setup_before;
+    results.push_back(TimedSelection{selector->Name(),
+                                     std::move(selection).value(), seconds,
+                                     setup_seconds, seconds - setup_seconds});
   }
   return results;
 }

@@ -13,15 +13,14 @@
 
 namespace podium::bench {
 
-/// Experiment-binary telemetry wiring: enables podium::telemetry (span
-/// histograms, counters, gauges) and consumes the --telemetry-out flag.
-/// Returns the flag's value — the path the JSON export should be written
-/// to — or "" when the flag was absent. Call before CheckConsumed().
+/// Experiment-binary telemetry wiring: consumes the --telemetry-out flag.
+/// Returns the flag's value — the path the JSON export of the always-on
+/// metrics registry should be written to — or "" when the flag was
+/// absent. Call before CheckConsumed().
 std::string InitTelemetry(Flags& flags);
 
 /// When `path` is non-empty, writes the telemetry JSON export (schema in
-/// DESIGN.md §"Telemetry & profiling") to it and prints a note. Call at
-/// the end of main().
+/// DESIGN.md §11) to it and prints a note. Call at the end of main().
 void FinishTelemetry(const std::string& path);
 
 /// Consumes --threads (0 = automatic: PODIUM_THREADS env, then
@@ -42,7 +41,7 @@ struct TimedSelection {
   /// The selector's internal pre-algorithm work (pool materialization,
   /// rank tables, marginal-gain initialization): the growth of the
   /// greedy.setup + greedy.init span histograms over the call. 0 for
-  /// uninstrumented selectors or when telemetry is disabled.
+  /// uninstrumented selectors.
   double setup_seconds = 0.0;
   /// `seconds - setup_seconds`: the algorithm proper. Scalability figures
   /// report this so instance-construction cost is not attributed to the

@@ -35,8 +35,6 @@
 #include "podium/json/writer.h"
 #include "podium/metrics/cd_sim.h"
 #include "podium/profile/repository_io.h"
-#include "podium/telemetry/export.h"
-#include "podium/telemetry/telemetry.h"
 #include "podium/util/rng.h"
 #include "podium/util/thread_pool.h"
 
@@ -240,26 +238,6 @@ void BM_GreedySelect(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreedySelect)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
-
-// Telemetry overhead on the greedy hot path: arg 0 runs with telemetry
-// disabled (the library default — a relaxed atomic load and a clock read
-// per span), arg 1 with the span histograms and greedy counters live.
-// The disabled row must stay within noise of BM_GreedySelect.
-void BM_GreedySelectTelemetry(benchmark::State& state) {
-  const DiversificationInstance& instance = SharedInstance();
-  GreedySelector selector;
-  telemetry::SetEnabled(state.range(0) == 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(selector.Select(instance, 8));
-  }
-  telemetry::SetEnabled(false);
-  telemetry::ResetAllTelemetry();
-  state.SetLabel(state.range(0) == 1 ? "telemetry:on" : "telemetry:off");
-}
-BENCHMARK(BM_GreedySelectTelemetry)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_DistanceSelect(benchmark::State& state) {
   const DiversificationInstance& instance = SharedInstance();

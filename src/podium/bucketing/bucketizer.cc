@@ -4,8 +4,8 @@
 #include <cmath>
 
 #include "podium/bucketing/internal.h"
+#include "podium/obs/metrics.h"
 #include "podium/obs/trace.h"
-#include "podium/telemetry/telemetry.h"
 #include "podium/util/math_util.h"
 
 namespace podium::bucketing {
@@ -16,8 +16,7 @@ namespace {
 /// per Split() call plus a histogram of input sizes, so group derivation
 /// cost can be traced back to the score distributions that drove it.
 void RecordSplit(std::string_view method, std::size_t num_values) {
-  if (!telemetry::Enabled()) return;
-  auto& registry = telemetry::MetricsRegistry::Global();
+  auto& registry = obs::MetricsRegistry::Global();
   registry.counter(std::string("bucketizer.splits.") + std::string(method))
       .Add();
   registry

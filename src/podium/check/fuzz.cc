@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstring>
 #include <iterator>
+#include <optional>
 #include <utility>
 
 #include "podium/json/parser.h"
@@ -83,26 +84,45 @@ json::Value RandomDocument(util::Rng& rng, int depth) {
   }
 }
 
-template <typename Message>
-Result<Message> ParseBytesVia(
-    const std::string& bytes, const serve::HttpLimits& limits,
-    Result<Message> (*read)(serve::BufferedReader&,
-                            const serve::HttpLimits&)) {
-  int fds[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
-    return Status::IoError(std::string("socketpair: ") +
-                           std::strerror(errno));
+/// Frames `reads` the way the event loop does: append each read to the
+/// connection buffer, then parse requests off its front until one is
+/// incomplete, which must leave the buffer untouched. The reads carry
+/// `wires` back to back; each complete parse must equal the next wire's
+/// one-shot parse and leave exactly the bytes after that wire in the
+/// buffer. Returns the violation, or "".
+std::string FramingViolation(const std::vector<std::string>& reads,
+                             const std::vector<std::string>& wires,
+                             const serve::HttpLimits& limits) {
+  std::string received;      // every byte read so far
+  std::size_t consumed = 0;  // the bytes of the wires framed so far
+  std::size_t framed = 0;
+  std::string buffer;
+  for (const std::string& read : reads) {
+    received += read;
+    buffer += read;
+    for (;;) {
+      const std::string before = buffer;
+      Result<std::optional<serve::HttpRequest>> parsed =
+          serve::TryParseHttpRequest(buffer, limits);
+      if (!parsed.ok()) return "rejected: " + parsed.status().message();
+      if (!parsed.value().has_value()) {
+        if (buffer != before) return "incomplete parse consumed bytes";
+        break;
+      }
+      if (framed == wires.size()) return "framed a request nobody sent";
+      Result<serve::HttpRequest> one_shot =
+          ParseRequestBytes(wires[framed], limits);
+      if (!one_shot.ok() || *parsed.value() != one_shot.value()) {
+        return util::StringPrintf("request %zu differs from its one-shot parse",
+                                  framed);
+      }
+      consumed += wires[framed++].size();
+      if (consumed > received.size() || buffer != received.substr(consumed)) {
+        return "the bytes after a request did not stay in the buffer";
+      }
+    }
   }
-  Status written = serve::WriteAll(fds[1], bytes);
-  ::close(fds[1]);  // EOF after the payload, like a client hanging up
-  if (!written.ok()) {
-    ::close(fds[0]);
-    return written;
-  }
-  serve::BufferedReader reader(fds[0]);
-  Result<Message> message = read(reader, limits);
-  ::close(fds[0]);
-  return message;
+  return framed == wires.size() ? "" : "a request never completed";
 }
 
 /// Builds a syntactically valid request with randomized fields.
@@ -128,14 +148,36 @@ serve::HttpRequest RandomRequest(util::Rng& rng) {
 
 Result<serve::HttpRequest> ParseRequestBytes(const std::string& bytes,
                                              const serve::HttpLimits& limits) {
-  return ParseBytesVia<serve::HttpRequest>(bytes, limits,
-                                           &serve::ReadHttpRequest);
+  std::string buffer = bytes;
+  Result<std::optional<serve::HttpRequest>> parsed =
+      serve::TryParseHttpRequest(buffer, limits);
+  if (!parsed.ok()) return parsed.status();
+  if (!parsed.value().has_value()) {
+    // The loop would wait for more bytes, but the input has ended.
+    if (bytes.empty()) return Status::NotFound("connection closed");
+    return Status::IoError("connection closed mid-message");
+  }
+  return std::move(*parsed.value());
 }
 
 Result<serve::HttpResponse> ParseResponseBytes(
     const std::string& bytes, const serve::HttpLimits& limits) {
-  return ParseBytesVia<serve::HttpResponse>(bytes, limits,
-                                            &serve::ReadHttpResponse);
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+    return Status::IoError(std::string("socketpair: ") +
+                           std::strerror(errno));
+  }
+  Status written = serve::WriteAll(fds[1], bytes);
+  ::close(fds[1]);  // EOF after the payload, like a server hanging up
+  if (!written.ok()) {
+    ::close(fds[0]);
+    return written;
+  }
+  serve::BufferedReader reader(fds[0]);
+  Result<serve::HttpResponse> response =
+      serve::ReadHttpResponse(reader, limits);
+  ::close(fds[0]);
+  return response;
 }
 
 FuzzReport FuzzJson(std::uint64_t seed, int iterations) {
@@ -201,6 +243,23 @@ FuzzReport FuzzHttpRequests(std::uint64_t seed, int iterations) {
                parsed->target != request.target ||
                parsed->body != request.body) {
       AddFailure(report, seed, iter, "request round-trip mismatch");
+    } else {
+      // The same wire as the loop may receive it: in two reads split at a
+      // random byte, and pipelined behind another request.
+      const std::size_t split = rng.NextBounded(wire.size());
+      const std::string split_violation = FramingViolation(
+          {wire.substr(0, split), wire.substr(split)}, {wire}, limits);
+      if (!split_violation.empty()) {
+        AddFailure(report, seed, iter,
+                   util::StringPrintf("split at byte %zu: ", split) +
+                       split_violation);
+      }
+      const std::string lead = serve::SerializeRequest(RandomRequest(rng));
+      const std::string pipeline_violation =
+          FramingViolation({lead + wire}, {lead, wire}, limits);
+      if (!pipeline_violation.empty()) {
+        AddFailure(report, seed, iter, "pipelined: " + pipeline_violation);
+      }
     }
 
     // Adversarial Content-Length: build the head by hand so the

@@ -26,22 +26,26 @@ struct FuzzReport {
 /// fail with ParseError — never crash, hang, or corrupt.
 FuzzReport FuzzJson(std::uint64_t seed, int iterations);
 
-/// Structure-aware fuzz of the HTTP/1.1 request parser through
-/// serve::ReadHttpRequest over a real socketpair (the exact production
-/// read path). Valid serialized requests must round-trip; adversarial
-/// Content-Length shapes (signs, embedded whitespace, conflicting
-/// duplicates, overflow) must be rejected with ParseError; random byte
-/// mutations must never crash.
+/// Structure-aware fuzz of serve::TryParseHttpRequest, the parser the
+/// server's event loop frames requests with. Valid serialized requests
+/// must round-trip, also split in two reads at a random byte and
+/// pipelined behind another request (each parse equal to the one-shot
+/// parse, the successor left in the buffer); adversarial Content-Length
+/// shapes (signs, embedded whitespace, conflicting duplicates, overflow)
+/// must be rejected with ParseError; random byte mutations must never
+/// crash. Responses get the same through serve::ReadHttpResponse.
 FuzzReport FuzzHttpRequests(std::uint64_t seed, int iterations);
 
-/// Feeds `bytes` through serve::ReadHttpRequest exactly as a connection
-/// would deliver them (socketpair + BufferedReader). Exposed for tests
-/// and for replaying fuzz findings.
+/// Parses `bytes` with serve::TryParseHttpRequest as the event loop does,
+/// the end of `bytes` standing for the peer hanging up: an incomplete
+/// request is IoError, empty input NotFound. Exposed for tests and for
+/// replaying fuzz findings.
 Result<serve::HttpRequest> ParseRequestBytes(const std::string& bytes,
                                              const serve::HttpLimits& limits =
                                                  serve::HttpLimits{});
 
-/// The response-side counterpart, for the status-line hardening tests.
+/// The response-side counterpart, through serve::ReadHttpResponse over a
+/// socketpair as the client reads, for the status-line hardening tests.
 Result<serve::HttpResponse> ParseResponseBytes(
     const std::string& bytes,
     const serve::HttpLimits& limits = serve::HttpLimits{});

@@ -8,8 +8,8 @@
 
 #include "podium/core/kernels.h"
 #include "podium/core/score.h"
+#include "podium/obs/metrics.h"
 #include "podium/obs/trace.h"
-#include "podium/telemetry/telemetry.h"
 #include "podium/util/arena.h"
 #include "podium/util/bitset.h"
 #include "podium/util/rng.h"
@@ -21,8 +21,7 @@ namespace {
 
 /// One greedy run's data-structure work. The hot loop touches only these
 /// locals; Publish() reports the totals once, as attributes of the run's
-/// `greedy.rounds` span and, while telemetry is enabled, into the
-/// `greedy.*` counters.
+/// `greedy.rounds` span and into the `greedy.*` counters.
 struct GreedyRunStats {
   std::uint64_t rounds = 0;
   std::uint64_t tail_users = 0;
@@ -36,8 +35,7 @@ struct GreedyRunStats {
     rounds_span.SetAttribute("retired_groups",
                              static_cast<double>(retired_groups));
     rounds_span.SetAttribute("tail_users", static_cast<double>(tail_users));
-    if (!telemetry::Enabled()) return;
-    auto& registry = telemetry::MetricsRegistry::Global();
+    auto& registry = obs::MetricsRegistry::Global();
     registry.counter("greedy.runs").Add();
     registry.counter("greedy.rounds").Add(rounds);
     registry.counter("greedy.tail_users").Add(tail_users);

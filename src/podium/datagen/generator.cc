@@ -8,8 +8,8 @@
 
 #include "podium/datagen/persona.h"
 #include "podium/datagen/vocabularies.h"
+#include "podium/obs/metrics.h"
 #include "podium/obs/trace.h"
-#include "podium/telemetry/telemetry.h"
 #include "podium/util/math_util.h"
 #include "podium/util/rng.h"
 #include "podium/util/string_util.h"
@@ -417,13 +417,11 @@ Result<Dataset> GenerateDataset(const DatasetConfig& config) {
       128);
   section.reset();
 
-  if (telemetry::Enabled()) {
-    auto& registry = telemetry::MetricsRegistry::Global();
-    registry.counter("datagen.datasets").Add();
-    registry.counter("datagen.users").Add(config.num_users);
-    registry.counter("datagen.restaurants").Add(config.num_restaurants);
-    registry.counter("datagen.reviews").Add(dataset.opinions.review_count());
-  }
+  auto& registry = obs::MetricsRegistry::Global();
+  registry.counter("datagen.datasets").Add();
+  registry.counter("datagen.users").Add(config.num_users);
+  registry.counter("datagen.restaurants").Add(config.num_restaurants);
+  registry.counter("datagen.reviews").Add(dataset.opinions.review_count());
   return dataset;
 }
 

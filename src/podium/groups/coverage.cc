@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "podium/telemetry/telemetry.h"
+#include "podium/obs/metrics.h"
 
 namespace podium {
 
@@ -46,14 +46,11 @@ std::vector<std::uint32_t> ComputeCoverage(std::span<const std::uint32_t> sizes,
           static_cast<std::uint32_t>(std::max<std::size_t>(proportional, 1));
     }
   }
-  if (telemetry::Enabled()) {
-    auto& registry = telemetry::MetricsRegistry::Global();
-    registry.counter("coverage.computations").Add();
-    std::uint64_t total = 0;
-    for (std::uint32_t c : coverage) total += c;
-    registry.gauge("coverage.total_required")
-        .Set(static_cast<double>(total));
-  }
+  auto& registry = obs::MetricsRegistry::Global();
+  registry.counter("coverage.computations").Add();
+  std::uint64_t total = 0;
+  for (std::uint32_t c : coverage) total += c;
+  registry.gauge("coverage.total_required").Set(static_cast<double>(total));
   return coverage;
 }
 

@@ -6,8 +6,8 @@
 #include <numeric>
 #include <utility>
 
+#include "podium/obs/metrics.h"
 #include "podium/obs/trace.h"
-#include "podium/telemetry/telemetry.h"
 #include "podium/util/thread_pool.h"
 
 namespace podium {
@@ -265,16 +265,14 @@ Result<GroupIndex> GroupIndex::Build(const ProfileRepository& repository,
     return s;
   }
 
-  if (telemetry::Enabled()) {
-    auto& registry = telemetry::MetricsRegistry::Global();
-    registry.counter("group_index.builds").Add();
-    registry.counter("group_index.groups")
-        .Add(static_cast<std::uint64_t>(index.defs_.size()));
-    registry.counter("group_index.pruned_groups")
-        .Add(static_cast<std::uint64_t>(num_slots - index.defs_.size()));
-    registry.counter("group_index.links")
-        .Add(static_cast<std::uint64_t>(index.link_count()));
-  }
+  auto& registry = obs::MetricsRegistry::Global();
+  registry.counter("group_index.builds").Add();
+  registry.counter("group_index.groups")
+      .Add(static_cast<std::uint64_t>(index.defs_.size()));
+  registry.counter("group_index.pruned_groups")
+      .Add(static_cast<std::uint64_t>(num_slots - index.defs_.size()));
+  registry.counter("group_index.links")
+      .Add(static_cast<std::uint64_t>(index.link_count()));
   return index;
 }
 

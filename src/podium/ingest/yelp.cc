@@ -8,8 +8,8 @@
 
 #include "podium/datagen/vocabularies.h"
 #include "podium/json/parser.h"
+#include "podium/obs/metrics.h"
 #include "podium/obs/trace.h"
-#include "podium/telemetry/telemetry.h"
 #include "podium/util/math_util.h"
 #include "podium/util/string_util.h"
 
@@ -298,14 +298,11 @@ Result<YelpDataset> IngestYelp(const std::string& business_path,
   }
   section.reset();
 
-  if (telemetry::Enabled()) {
-    auto& registry = telemetry::MetricsRegistry::Global();
-    registry.counter("ingest.yelp.runs").Add();
-    registry.counter("ingest.yelp.businesses").Add(dataset.businesses_kept);
-    registry.counter("ingest.yelp.reviews").Add(dataset.reviews_kept);
-    registry.counter("ingest.yelp.users")
-        .Add(dataset.repository.user_count());
-  }
+  auto& registry = obs::MetricsRegistry::Global();
+  registry.counter("ingest.yelp.runs").Add();
+  registry.counter("ingest.yelp.businesses").Add(dataset.businesses_kept);
+  registry.counter("ingest.yelp.reviews").Add(dataset.reviews_kept);
+  registry.counter("ingest.yelp.users").Add(dataset.repository.user_count());
   return dataset;
 }
 

@@ -621,7 +621,8 @@ void CheckGuardedMembers(const ScannedSource& source,
 /// layering violations — `core/` must stay servable without dragging in
 /// `serve/`, and nothing below `util/` may reach up. `analysis/` sits at
 /// the very bottom (no podium deps at all) so the lock-order weave in
-/// util/mutex.h is itself a legal edge.
+/// util/mutex.h is itself a legal edge. No module may include
+/// `telemetry/`, a forwarding header kept for the repository benchmark.
 struct ModuleRule {
   std::string_view module;
   std::string_view deps;  // space-separated allowed direct dependencies
@@ -633,20 +634,20 @@ constexpr ModuleRule kModuleDag[] = {
     {"csv", "util"},
     {"json", "util"},
     {"lint", "util"},
-    {"telemetry", "json util"},
-    {"obs", "json telemetry util"},
+    {"obs", "json util"},
+    {"telemetry", "obs"},
     {"profile", "csv json util"},
     {"opinion", "profile util"},
     {"taxonomy", "profile util"},
-    {"bucketing", "obs telemetry util"},
-    {"groups", "bucketing obs profile telemetry util"},
-    {"core", "bucketing groups json obs profile taxonomy telemetry util"},
+    {"bucketing", "obs util"},
+    {"groups", "bucketing obs profile util"},
+    {"core", "bucketing groups json obs profile taxonomy util"},
     {"baselines", "core util"},
     {"metrics", "core groups opinion util"},
-    {"datagen", "obs opinion profile taxonomy telemetry util"},
-    {"ingest", "datagen json obs opinion profile telemetry util"},
-    {"shard", "bucketing core groups obs profile telemetry util"},
-    {"serve", "core groups json obs profile shard telemetry util"},
+    {"datagen", "obs opinion profile taxonomy util"},
+    {"ingest", "datagen json obs opinion profile util"},
+    {"shard", "bucketing core groups obs profile util"},
+    {"serve", "core groups json obs profile shard util"},
     {"check", "core datagen json serve shard util"},
 };
 

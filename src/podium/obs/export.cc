@@ -1,12 +1,12 @@
-#include "podium/telemetry/export.h"
+#include "podium/obs/export.h"
 
 #include <utility>
 
 #include "podium/json/writer.h"
-#include "podium/telemetry/telemetry.h"
+#include "podium/obs/metrics.h"
 #include "podium/util/string_util.h"
 
-namespace podium::telemetry {
+namespace podium::obs {
 
 namespace {
 
@@ -94,6 +94,4 @@ std::string RenderTimingSummary() {
   return out;
 }
 
-void ResetAllTelemetry() { MetricsRegistry::Global().Reset(); }
-
-}  // namespace podium::telemetry
+}  // namespace podium::obs

@@ -1,17 +1,17 @@
-#ifndef PODIUM_TELEMETRY_EXPORT_H_
-#define PODIUM_TELEMETRY_EXPORT_H_
+#ifndef PODIUM_OBS_EXPORT_H_
+#define PODIUM_OBS_EXPORT_H_
 
 #include <string>
 
 #include "podium/json/value.h"
 #include "podium/util/status.h"
 
-namespace podium::telemetry {
+namespace podium::obs {
 
 /// Version of the exported JSON document. Bump on any incompatible change
 /// (removed/renamed key, changed meaning); purely additive changes keep
-/// the version. The schema is documented in DESIGN.md §"Telemetry &
-/// profiling".
+/// the version. The schema is documented in DESIGN.md §11, "JSON export
+/// schema".
 inline constexpr int kTelemetrySchemaVersion = 2;
 
 /// Serializes the registry — counters, gauges and histograms, span
@@ -35,9 +35,6 @@ Status WriteTelemetryJson(const std::string& path);
 /// histograms, followed by the non-zero counters and the gauges.
 std::string RenderTimingSummary();
 
-/// Zeroes every metric. For tests and repeated benchmark runs.
-void ResetAllTelemetry();
+}  // namespace podium::obs
 
-}  // namespace podium::telemetry
-
-#endif  // PODIUM_TELEMETRY_EXPORT_H_
+#endif  // PODIUM_OBS_EXPORT_H_

@@ -1,18 +1,8 @@
-#include "podium/telemetry/telemetry.h"
+#include "podium/obs/metrics.h"
 
 #include <algorithm>
 
-namespace podium::telemetry {
-
-#if !defined(PODIUM_TELEMETRY_DISABLED)
-namespace internal {
-std::atomic<bool> g_enabled{false};
-}  // namespace internal
-
-void SetEnabled(bool enabled) {
-  internal::g_enabled.store(enabled, std::memory_order_relaxed);
-}
-#endif
+namespace podium::obs {
 
 namespace {
 
@@ -155,4 +145,4 @@ void MetricsRegistry::Reset() {
   for (auto& [name, histogram] : histograms_) histogram->Reset();
 }
 
-}  // namespace podium::telemetry
+}  // namespace podium::obs

@@ -163,7 +163,7 @@ ParsedMetricName ParseMetricName(std::string_view registry_name) {
   return parsed;
 }
 
-std::string RenderPrometheus(const telemetry::MetricsSnapshot& snapshot) {
+std::string RenderPrometheus(const MetricsSnapshot& snapshot) {
   // Families keyed by sanitized base name so label-variants of one metric
   // share a single # TYPE header; std::map keeps the output sorted and
   // deterministic.

@@ -6,7 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "podium/telemetry/telemetry.h"
+#include "podium/obs/metrics.h"
 
 namespace podium::obs {
 
@@ -27,7 +27,7 @@ namespace podium::obs {
 /// and merges the labels into every emitted series of that metric.
 /// Malformed label syntax falls back to sanitizing the whole string as a
 /// plain name, so no registry content can corrupt the exposition.
-std::string RenderPrometheus(const telemetry::MetricsSnapshot& snapshot);
+std::string RenderPrometheus(const MetricsSnapshot& snapshot);
 
 /// Sanitizes one metric name (without labels): [a-zA-Z0-9_:], '_' prefix
 /// when the first character is a digit, "_" for an empty input.

@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "podium/telemetry/telemetry.h"
+#include "podium/obs/metrics.h"
 
 namespace podium::obs {
 
@@ -10,12 +10,9 @@ namespace {
 
 thread_local TraceContext* t_current_trace = nullptr;
 
-/// `name`'s histogram (default latency bounds) while telemetry is
-/// enabled, else null.
-telemetry::Histogram* SpanHistogram(std::string_view name) {
-  if (!telemetry::Enabled()) return nullptr;
-  return &telemetry::MetricsRegistry::Global().histogram(
-      telemetry::SpanMetricName(name));
+/// `name`'s span histogram (default latency bounds).
+Histogram& SpanHistogram(std::string_view name) {
+  return MetricsRegistry::Global().histogram(SpanMetricName(name));
 }
 
 }  // namespace
@@ -87,7 +84,7 @@ Span::Span(std::string_view name)
 }
 
 Span::~Span() {
-  if (histogram_ != nullptr) histogram_->Observe(ElapsedSeconds());
+  histogram_.Observe(ElapsedSeconds());
   if (trace_ != nullptr) trace_->EndSpan(index_);
 }
 
@@ -103,9 +100,7 @@ double Span::ElapsedSeconds() const {
 
 void RecordSpan(std::string_view name, double start_seconds,
                 double duration_seconds, SpanAttributes attributes) {
-  if (telemetry::Histogram* histogram = SpanHistogram(name)) {
-    histogram->Observe(duration_seconds);
-  }
+  SpanHistogram(name).Observe(duration_seconds);
   TraceContext* trace = t_current_trace;
   if (trace == nullptr) return;
   const int index =

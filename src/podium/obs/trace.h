@@ -11,12 +11,9 @@
 #include <utility>
 #include <vector>
 
+#include "podium/obs/metrics.h"
 #include "podium/util/mutex.h"
 #include "podium/util/thread_annotations.h"
-
-namespace podium::telemetry {
-class Histogram;
-}  // namespace podium::telemetry
 
 namespace podium::obs {
 
@@ -115,14 +112,12 @@ class TraceScope {
 };
 
 /// The one span primitive: an RAII wall-clock span that feeds two sinks.
+/// - The registry histogram `span.seconds{span="<name>"}` (metrics.h),
+///   always: the aggregate that /metrics, the Prometheus `span_seconds`
+///   family, --timing and the bench exports read. It is resolved at
+///   construction, so `name` may be a temporary.
 /// - The thread's current trace, when one is installed, as a child of the
 ///   innermost open span.
-/// - While telemetry is enabled, the registry histogram
-///   `span.seconds{span="<name>"}`: the aggregate that /metrics, the
-///   Prometheus `span_seconds` family, --timing and the bench exports
-///   read. It is resolved at construction, so `name` may be a temporary.
-/// With neither sink live a span costs a TLS read, a relaxed atomic load
-/// and a clock read, so library code is instrumented unconditionally.
 class Span {
  public:
   explicit Span(std::string_view name);
@@ -138,7 +133,7 @@ class Span {
 
  private:
   TraceContext* trace_;
-  telemetry::Histogram* histogram_ = nullptr;  // null: telemetry disabled
+  Histogram& histogram_;
   int index_ = -1;
   std::chrono::steady_clock::time_point start_;
 };

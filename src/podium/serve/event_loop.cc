@@ -13,8 +13,8 @@
 #include <utility>
 
 #include "podium/obs/log.h"
+#include "podium/obs/metrics.h"
 #include "podium/serve/io_util.h"
-#include "podium/telemetry/telemetry.h"
 
 namespace podium::serve {
 
@@ -205,11 +205,9 @@ void EventLoop::AcceptReady() {
       // Resource exhaustion (fd table full under load) or anything else
       // unexpected: count it, back off, retry — never silently stop
       // accepting while /healthz stays green.
-      if (telemetry::Enabled()) {
-        telemetry::MetricsRegistry::Global()
-            .counter("serve.http.accept_failures")
-            .Add();
-      }
+      obs::MetricsRegistry::Global()
+          .counter("serve.http.accept_failures")
+          .Add();
       obs::LogWarn("accept failed; pausing accepts")
           .Str("error", std::strerror(errno))
           .Num("backoff_ms", options_.accept_backoff_ms)
@@ -221,11 +219,7 @@ void EventLoop::AcceptReady() {
     SetNonBlocking(fd);
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    if (telemetry::Enabled()) {
-      telemetry::MetricsRegistry::Global()
-          .counter("serve.http.connections")
-          .Add();
-    }
+    obs::MetricsRegistry::Global().counter("serve.http.connections").Add();
     const std::uint64_t id = next_conn_id_++;
     Connection& connection = connections_[id];
     connection.fd = fd;

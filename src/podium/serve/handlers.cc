@@ -6,11 +6,11 @@
 #include <vector>
 
 #include "podium/json/writer.h"
+#include "podium/obs/export.h"
+#include "podium/obs/metrics.h"
 #include "podium/obs/prometheus.h"
 #include "podium/obs/trace.h"
 #include "podium/serve/request.h"
-#include "podium/telemetry/export.h"
-#include "podium/telemetry/telemetry.h"
 #include "podium/util/parse.h"
 #include "podium/util/stopwatch.h"
 #include "podium/util/string_util.h"
@@ -106,7 +106,7 @@ HttpResponse HandleMetrics(std::string_view query) {
       response.headers.emplace_back("Content-Type",
                                     "text/plain; version=0.0.4");
       response.body = obs::RenderPrometheus(
-          telemetry::MetricsRegistry::Global().Snapshot());
+          obs::MetricsRegistry::Global().Snapshot());
       return response;
     }
     if (*format != "json") {
@@ -118,7 +118,7 @@ HttpResponse HandleMetrics(std::string_view query) {
   json::WriteOptions options;
   options.indent = 2;
   return JsonResponse(
-      200, "OK", json::Write(telemetry::TelemetryToJson(), options) + "\n");
+      200, "OK", json::Write(obs::TelemetryToJson(), options) + "\n");
 }
 
 json::Value SpanToJson(const obs::TraceSpan& span) {
@@ -193,13 +193,12 @@ HttpResponse HandleReload(const std::function<Status()>& reload) {
 /// paths cannot mint unbounded metric names.
 void RecordHttpMetrics(std::string_view path_label, int status,
                        double seconds) {
-  if (!telemetry::Enabled()) return;
-  auto& registry = telemetry::MetricsRegistry::Global();
+  auto& registry = obs::MetricsRegistry::Global();
   registry
       .histogram(util::StringPrintf("serve.http.request_seconds{path=\"%.*s\"}",
                                     static_cast<int>(path_label.size()),
                                     path_label.data()),
-                 telemetry::DefaultLatencyBounds())
+                 obs::DefaultLatencyBounds())
       .Observe(seconds);
   registry.counter(util::StringPrintf("serve.http.responses{code=\"%d\"}",
                                       status))

@@ -101,8 +101,7 @@ Result<std::size_t> ContentLength(
 }
 
 /// Builds a request (sans body) out of a parsed head: request-line
-/// validation plus the Transfer-Encoding rejection shared by the blocking
-/// and the incremental parse paths.
+/// validation plus the Transfer-Encoding rejection.
 Result<HttpRequest> RequestFromHead(ParsedHead head) {
   HttpRequest request;
   const std::vector<std::string> parts = util::Split(head.first_line, ' ');
@@ -256,25 +255,6 @@ const std::string* HttpRequest::FindHeader(std::string_view name) const {
 
 const std::string* HttpResponse::FindHeader(std::string_view name) const {
   return FindHeaderIn(headers, name);
-}
-
-Result<HttpRequest> ReadHttpRequest(BufferedReader& reader,
-                                    const HttpLimits& limits) {
-  Result<std::string> block = reader.ReadHeaderBlock(limits.max_header_bytes);
-  if (!block.ok()) return block.status();
-  Result<ParsedHead> head = ParseHead(block.value());
-  if (!head.ok()) return head.status();
-  Result<HttpRequest> request = RequestFromHead(std::move(head).value());
-  if (!request.ok()) return request.status();
-  Result<std::size_t> length = ContentLength(request->headers);
-  if (!length.ok()) return length.status();
-  if (length.value() > 0) {
-    Result<std::string> body =
-        reader.ReadBody(length.value(), limits.max_body_bytes);
-    if (!body.ok()) return body.status();
-    request->body = std::move(body).value();
-  }
-  return request;
 }
 
 Result<HttpResponse> ReadHttpResponse(BufferedReader& reader,

@@ -27,6 +27,8 @@ struct HttpRequest {
 
   /// Case-insensitive header lookup; nullptr when absent.
   const std::string* FindHeader(std::string_view name) const;
+
+  bool operator==(const HttpRequest&) const = default;
 };
 
 struct HttpResponse {
@@ -66,8 +68,9 @@ struct HttpLimits {
 /// default is close unless an explicit "keep-alive" token is present.
 bool RequestsConnectionClose(const HttpRequest& request);
 
-/// Incremental request framing for a nonblocking reader: attempts to
-/// parse exactly one complete request from the front of `buffer`.
+/// Incremental request framing for a nonblocking reader (the server's
+/// only request parser): attempts to parse exactly one complete request
+/// from the front of `buffer`.
 ///
 ///   - complete request  -> the request; its bytes are erased from
 ///                          `buffer` (pipelined successors stay put)
@@ -80,8 +83,9 @@ bool RequestsConnectionClose(const HttpRequest& request);
 [[nodiscard]] Result<std::optional<HttpRequest>> TryParseHttpRequest(
     std::string& buffer, const HttpLimits& limits);
 
-/// Buffered reader over a socket; one per connection, persisting across
-/// keep-alive messages so pipelined bytes are never dropped.
+/// Buffered blocking reader over a socket for the client side; one per
+/// connection, persisting across keep-alive messages so pipelined bytes
+/// are never dropped.
 class BufferedReader {
  public:
   explicit BufferedReader(int fd) : fd_(fd) {}
@@ -98,13 +102,9 @@ class BufferedReader {
   std::string buffer_;
 };
 
-/// Reads one request (blocking). A clean EOF before any bytes yields
-/// NotFound("connection closed") — the keep-alive loop's normal exit;
-/// malformed or oversized messages yield ParseError.
-[[nodiscard]] Result<HttpRequest> ReadHttpRequest(BufferedReader& reader,
-                                    const HttpLimits& limits);
-
-/// Reads one response; the client side of the above.
+/// Reads one response (blocking). A clean EOF before any bytes yields
+/// NotFound("connection closed"); malformed or oversized messages yield
+/// ParseError.
 [[nodiscard]] Result<HttpResponse> ReadHttpResponse(BufferedReader& reader,
                                       const HttpLimits& limits);
 

@@ -1,15 +1,14 @@
 #include "podium/serve/result_cache.h"
 
-#include "podium/telemetry/telemetry.h"
+#include "podium/obs/metrics.h"
 
 namespace podium::serve {
 
 void ResultCache::RecordLookup(bool hit) const {
-  if (!telemetry::Enabled()) return;
-  auto& registry = telemetry::MetricsRegistry::Global();
+  auto& registry = obs::MetricsRegistry::Global();
   // Hoisted statics: the registry lookup takes a mutex, the Add does not.
-  static telemetry::Counter& hits = registry.counter("serve.cache.hits");
-  static telemetry::Counter& misses = registry.counter("serve.cache.misses");
+  static obs::Counter& hits = registry.counter("serve.cache.hits");
+  static obs::Counter& misses = registry.counter("serve.cache.misses");
   (hit ? hits : misses).Add();
 }
 
@@ -20,9 +19,9 @@ std::optional<std::string> ResultCache::Get(const std::string& key) {
     RecordLookup(false);
     return std::nullopt;
   }
-  // Telemetry is recorded after mutex_ is released: the registry lookup
+  // The lookup is recorded after mutex_ is released: the registry lookup
   // inside RecordLookup takes its own mutex, and nesting it under ours
-  // pins a lock order no other telemetry caller is obliged to follow.
+  // pins a lock order no other registry caller is obliged to follow.
   std::optional<std::string> body;
   {
     util::MutexLock lock(mutex_);

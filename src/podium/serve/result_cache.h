@@ -17,8 +17,7 @@ namespace podium::serve {
 /// Keys embed the snapshot generation, so a snapshot swap invalidates
 /// entries implicitly: stale generations stop being looked up and age out
 /// of the LRU list. Thread-safe; every hit/miss is recorded on the
-/// "serve.cache.hits" / "serve.cache.misses" telemetry counters (when
-/// telemetry is enabled).
+/// "serve.cache.hits" / "serve.cache.misses" counters.
 class ResultCache {
  public:
   /// `capacity` = maximum number of entries; 0 disables caching (every
@@ -39,7 +38,7 @@ class ResultCache {
  private:
   using Entry = std::pair<std::string, std::string>;  // key, body
 
-  /// Records a hit/miss on the telemetry registry. The registry has its
+  /// Records a hit/miss on the metrics registry. The registry has its
   /// own mutex, and the repo's lock hierarchy forbids nesting it under
   /// mutex_ (PR 4 removed exactly that nesting) — PODIUM_EXCLUDES makes
   /// the rule a compile error instead of a review comment.

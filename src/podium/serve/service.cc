@@ -6,9 +6,9 @@
 #include <vector>
 
 #include "podium/core/explanation.h"
+#include "podium/obs/metrics.h"
 #include "podium/obs/trace.h"
 #include "podium/shard/sharded_selector.h"
-#include "podium/telemetry/telemetry.h"
 
 namespace podium::serve {
 
@@ -17,13 +17,13 @@ namespace {
 /// Request outcome counters. Timings are the select / cache.lookup /
 /// admission / run spans' histograms.
 struct ServeMetrics {
-  telemetry::Counter& requests;
-  telemetry::Counter& errors;
-  telemetry::Counter& rejected;
-  telemetry::Counter& deadline_exceeded;
+  obs::Counter& requests;
+  obs::Counter& errors;
+  obs::Counter& rejected;
+  obs::Counter& deadline_exceeded;
 
   static ServeMetrics& Get() {
-    auto& registry = telemetry::MetricsRegistry::Global();
+    auto& registry = obs::MetricsRegistry::Global();
     static ServeMetrics metrics{registry.counter("serve.requests"),
                                 registry.counter("serve.errors"),
                                 registry.counter("serve.rejected"),
@@ -87,7 +87,7 @@ Status SelectionService::Admit(std::int64_t deadline_ms) {
     return Status::Ok();
   }
   if (waiting_ >= options_.max_queue_depth) {
-    if (telemetry::Enabled()) ServeMetrics::Get().rejected.Add();
+    ServeMetrics::Get().rejected.Add();
     return Status::ResourceExhausted("admission queue full");
   }
   ++waiting_;
@@ -106,7 +106,7 @@ Status SelectionService::Admit(std::int64_t deadline_ms) {
   }
   --waiting_;
   if (!admitted) {
-    if (telemetry::Enabled()) ServeMetrics::Get().deadline_exceeded.Add();
+    ServeMetrics::Get().deadline_exceeded.Add();
     return Status::DeadlineExceeded(
         "deadline expired before an execution slot freed up");
   }
@@ -123,13 +123,12 @@ void SelectionService::Release() {
 }
 
 Result<ServiceReply> SelectionService::Select(const SelectionRequest& request) {
-  const bool telemetry_on = telemetry::Enabled();
-  if (telemetry_on) ServeMetrics::Get().requests.Add();
+  ServeMetrics::Get().requests.Add();
   obs::Span select_span("select");
 
   const std::shared_ptr<const Snapshot> snapshot = holder_.Current();
   if (snapshot == nullptr) {
-    if (telemetry_on) ServeMetrics::Get().errors.Add();
+    ServeMetrics::Get().errors.Add();
     return Status::FailedPrecondition("no snapshot loaded");
   }
 
@@ -191,7 +190,7 @@ Result<ServiceReply> SelectionService::Select(const SelectionRequest& request) {
 
   reply.coalesced = flight.shared;
   if (!flight.status.ok()) {
-    if (telemetry_on) ServeMetrics::Get().errors.Add();
+    ServeMetrics::Get().errors.Add();
     return flight.status;
   }
   reply.body = std::move(flight.value);
@@ -219,11 +218,9 @@ SelectionService::PooledInstance(const Snapshot& snapshot,
           entry.coverage_kind == coverage_kind &&
           entry.budget == key_budget) {
         entry.last_used = ++instance_pool_clock_;
-        if (telemetry::Enabled()) {
-          telemetry::MetricsRegistry::Global()
-              .counter("serve.batch.instance_reuse")
-              .Add();
-        }
+        obs::MetricsRegistry::Global()
+            .counter("serve.batch.instance_reuse")
+            .Add();
         return entry.instance;
       }
     }

@@ -18,9 +18,10 @@
 namespace podium::serve {
 
 struct ServiceOptions {
-  /// Selections running at once. Each selection may itself fan out on the
-  /// global ThreadPool, which serializes one parallel loop at a time, so
-  /// the sweet spot is small; excess requests wait in the admission queue.
+  /// Selections running at once. Each may fan out on the global
+  /// ThreadPool, whose concurrent ParallelFor callers share one job slot
+  /// and each run their own chunks (DESIGN.md §7), so they contend for
+  /// the workers; the sweet spot is small. Excess requests queue.
   std::size_t max_concurrency = 4;
 
   /// Requests allowed to wait for a slot beyond the running ones; arrivals

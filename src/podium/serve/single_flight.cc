@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "podium/telemetry/telemetry.h"
+#include "podium/obs/metrics.h"
 
 namespace podium::serve {
 
@@ -22,19 +22,15 @@ SingleFlight::Outcome SingleFlight::Do(
       follower = true;
       flight = it->second;
       hook = join_hook_;
-      if (telemetry::Enabled()) {
-        telemetry::MetricsRegistry::Global()
-            .counter("serve.singleflight.shared")
-            .Add();
-      }
+      obs::MetricsRegistry::Global()
+          .counter("serve.singleflight.shared")
+          .Add();
     } else {
       flight = std::make_shared<Flight>();
       flights_.emplace(key, flight);
-      if (telemetry::Enabled()) {
-        telemetry::MetricsRegistry::Global()
-            .counter("serve.singleflight.leader")
-            .Add();
-      }
+      obs::MetricsRegistry::Global()
+          .counter("serve.singleflight.leader")
+          .Add();
     }
   }
 

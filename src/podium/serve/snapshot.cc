@@ -7,8 +7,8 @@
 #include <string_view>
 #include <utility>
 
+#include "podium/obs/metrics.h"
 #include "podium/obs/trace.h"
-#include "podium/telemetry/telemetry.h"
 
 namespace podium::serve {
 
@@ -34,19 +34,17 @@ Result<std::shared_ptr<const Snapshot>> Snapshot::Build(
                                       options.shard, generation);
     if (!sharded.ok()) return sharded.status();
     snapshot->sharded_ = std::move(sharded).value();
-    if (telemetry::Enabled()) {
-      auto& registry = telemetry::MetricsRegistry::Global();
-      registry.gauge("serve.snapshot.generation")
-          .Set(static_cast<double>(generation));
-      registry.gauge("serve.snapshot.users")
-          .Set(static_cast<double>(snapshot->user_count()));
-      registry.gauge("serve.snapshot.groups")
-          .Set(static_cast<double>(snapshot->group_count()));
-      registry.gauge("serve.snapshot.shards")
-          .Set(static_cast<double>(snapshot->sharded_->shard_count()));
-      registry.gauge("serve.snapshot.memory_bytes")
-          .Set(static_cast<double>(snapshot->MemoryBytes()));
-    }
+    auto& registry = obs::MetricsRegistry::Global();
+    registry.gauge("serve.snapshot.generation")
+        .Set(static_cast<double>(generation));
+    registry.gauge("serve.snapshot.users")
+        .Set(static_cast<double>(snapshot->user_count()));
+    registry.gauge("serve.snapshot.groups")
+        .Set(static_cast<double>(snapshot->group_count()));
+    registry.gauge("serve.snapshot.shards")
+        .Set(static_cast<double>(snapshot->sharded_->shard_count()));
+    registry.gauge("serve.snapshot.memory_bytes")
+        .Set(static_cast<double>(snapshot->MemoryBytes()));
     return std::shared_ptr<const Snapshot>(std::move(snapshot));
   }
 
@@ -71,18 +69,16 @@ Result<std::shared_ptr<const Snapshot>> Snapshot::Build(
     }
   }
 
-  if (telemetry::Enabled()) {
-    auto& registry = telemetry::MetricsRegistry::Global();
-    registry.gauge("serve.snapshot.generation")
-        .Set(static_cast<double>(generation));
-    registry.gauge("serve.snapshot.users")
-        .Set(static_cast<double>(snapshot->repository_.user_count()));
-    registry.gauge("serve.snapshot.groups")
-        .Set(static_cast<double>(groups.group_count()));
-    registry.gauge("serve.snapshot.shards").Set(1.0);
-    registry.gauge("serve.snapshot.memory_bytes")
-        .Set(static_cast<double>(snapshot->MemoryBytes()));
-  }
+  auto& registry = obs::MetricsRegistry::Global();
+  registry.gauge("serve.snapshot.generation")
+      .Set(static_cast<double>(generation));
+  registry.gauge("serve.snapshot.users")
+      .Set(static_cast<double>(snapshot->repository_.user_count()));
+  registry.gauge("serve.snapshot.groups")
+      .Set(static_cast<double>(groups.group_count()));
+  registry.gauge("serve.snapshot.shards").Set(1.0);
+  registry.gauge("serve.snapshot.memory_bytes")
+      .Set(static_cast<double>(snapshot->MemoryBytes()));
   return std::shared_ptr<const Snapshot>(std::move(snapshot));
 }
 

@@ -5,8 +5,8 @@
 #include <string>
 #include <utility>
 
+#include "podium/obs/metrics.h"
 #include "podium/obs/trace.h"
-#include "podium/telemetry/telemetry.h"
 #include "podium/util/stopwatch.h"
 #include "podium/util/thread_pool.h"
 
@@ -150,17 +150,14 @@ Result<ShardedSelection> ShardedSelector::Select(
     result.merge_seconds = merge_span.ElapsedSeconds();
   }
 
-  if (telemetry::Enabled()) {
-    auto& registry = telemetry::MetricsRegistry::Global();
-    registry.counter("shard.selects").Add();
-    registry.counter("shard.merge_candidates")
-        .Add(static_cast<std::uint64_t>(result.candidate_count));
-    if (k <= kMaxLabeledShards) {
-      for (std::size_t s = 0; s < k; ++s) {
-        registry
-            .gauge("shard.pool_users{shard=\"" + std::to_string(s) + "\"}")
-            .Set(static_cast<double>(result.pool_sizes[s]));
-      }
+  auto& registry = obs::MetricsRegistry::Global();
+  registry.counter("shard.selects").Add();
+  registry.counter("shard.merge_candidates")
+      .Add(static_cast<std::uint64_t>(result.candidate_count));
+  if (k <= kMaxLabeledShards) {
+    for (std::size_t s = 0; s < k; ++s) {
+      registry.gauge("shard.pool_users{shard=\"" + std::to_string(s) + "\"}")
+          .Set(static_cast<double>(result.pool_sizes[s]));
     }
   }
   return result;

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "podium/obs/metrics.h"
 #include "podium/obs/trace.h"
-#include "podium/telemetry/telemetry.h"
 #include "podium/util/thread_pool.h"
 
 namespace podium::shard {
@@ -127,14 +127,11 @@ Result<std::shared_ptr<const ShardedSnapshot>> ShardedSnapshot::Build(
     if (!status.ok()) return status;
   }
 
-  if (telemetry::Enabled()) {
-    auto& registry = telemetry::MetricsRegistry::Global();
-    registry.counter("shard.snapshot.builds").Add();
-    registry.counter("shard.snapshot.shards")
-        .Add(static_cast<std::uint64_t>(k));
-    registry.gauge("shard.snapshot.memory_bytes")
-        .Set(static_cast<double>(snapshot->MemoryBytes()));
-  }
+  auto& registry = obs::MetricsRegistry::Global();
+  registry.counter("shard.snapshot.builds").Add();
+  registry.counter("shard.snapshot.shards").Add(static_cast<std::uint64_t>(k));
+  registry.gauge("shard.snapshot.memory_bytes")
+      .Set(static_cast<double>(snapshot->MemoryBytes()));
   return std::shared_ptr<const ShardedSnapshot>(std::move(snapshot));
 }
 

@@ -7,8 +7,9 @@
 #include <vector>
 
 #include "podium/json/parser.h"
-#include "podium/telemetry/export.h"
-#include "podium/telemetry/telemetry.h"
+#include "podium/obs/export.h"
+#include "podium/obs/metrics.h"
+#include "podium/obs/trace.h"
 #include "tests/testing/table2.h"
 
 namespace podium::bench {
@@ -75,28 +76,29 @@ TEST(HarnessTest, RunSelectorsProducesTimedResults) {
   EXPECT_GE(runs[0].selection.score, runs[1].selection.score);
 }
 
+// The registry always records, so there is nothing to switch on: the
+// harness only consumes the flag, and a span still lands in the export.
 TEST(HarnessTest, InitTelemetryConsumesFlagAndEnables) {
-  telemetry::SetEnabled(false);
+  obs::MetricsRegistry::Global().Reset();
   ArgvFixture args({"--telemetry-out=/tmp/out.json"});
   Flags flags(args.argc(), args.argv());
   EXPECT_EQ(InitTelemetry(flags), "/tmp/out.json");
-  EXPECT_TRUE(telemetry::Enabled());
   flags.CheckConsumed();  // --telemetry-out was consumed: no exit
-  telemetry::SetEnabled(false);
-  telemetry::ResetAllTelemetry();
+  { obs::Span span("test.harness"); }
+  EXPECT_EQ(obs::MetricsRegistry::Global()
+                .histogram(obs::SpanMetricName("test.harness"))
+                .Count(),
+            1u);
 }
 
 TEST(HarnessTest, InitTelemetryDefaultsToNoExport) {
   ArgvFixture args({});
   Flags flags(args.argc(), args.argv());
   EXPECT_EQ(InitTelemetry(flags), "");
-  telemetry::SetEnabled(false);
-  telemetry::ResetAllTelemetry();
 }
 
 TEST(HarnessTest, RunSelectorsSplitsSetupFromSelection) {
-  telemetry::SetEnabled(true);
-  telemetry::ResetAllTelemetry();
+  obs::MetricsRegistry::Global().Reset();
   Result<DiversificationInstance> instance = MakeTable2Instance(2);
   ASSERT_TRUE(instance.ok());
   const auto runs =
@@ -111,8 +113,6 @@ TEST(HarnessTest, RunSelectorsSplitsSetupFromSelection) {
   // whole-call time.
   EXPECT_GT(runs[0].setup_seconds, 0.0);
   EXPECT_LT(runs[0].select_seconds, runs[0].seconds);
-  telemetry::SetEnabled(false);
-  telemetry::ResetAllTelemetry();
 }
 
 // The exported document's layout is a stable, versioned schema; this is
@@ -120,15 +120,14 @@ TEST(HarnessTest, RunSelectorsSplitsSetupFromSelection) {
 // the keys of a span histogram). Schema changes must update
 // kTelemetrySchemaVersion and DESIGN.md in the same commit as this test.
 TEST(HarnessTest, ExportedTelemetryJsonMatchesGoldenSchema) {
-  telemetry::SetEnabled(true);
-  telemetry::ResetAllTelemetry();
+  obs::MetricsRegistry::Global().Reset();
   Result<DiversificationInstance> instance = MakeTable2Instance(2);
   ASSERT_TRUE(instance.ok());
   RunSelectors(StandardSelectors(1), instance.value(), 2);
 
   const std::string path =
       ::testing::TempDir() + "/podium_harness_telemetry.json";
-  ASSERT_TRUE(telemetry::WriteTelemetryJson(path).ok());
+  ASSERT_TRUE(obs::WriteTelemetryJson(path).ok());
   Result<json::Value> parsed = json::ParseFile(path);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_TRUE(parsed.value().is_object());
@@ -143,16 +142,16 @@ TEST(HarnessTest, ExportedTelemetryJsonMatchesGoldenSchema) {
   const json::Object& schema = root.Find("schema")->AsObject();
   EXPECT_EQ(schema.Find("name")->AsString(), "podium.telemetry");
   EXPECT_EQ(schema.Find("version")->AsNumber(),
-            telemetry::kTelemetrySchemaVersion);
+            obs::kTelemetrySchemaVersion);
   // Every selector's span is exported as a histogram.
   const json::Object& histograms = root.Find("histograms")->AsObject();
   for (const char* span : {"select.Podium", "select.Random",
                            "select.Clustering", "select.Distance"}) {
-    ASSERT_NE(histograms.Find(telemetry::SpanMetricName(span)), nullptr)
+    ASSERT_NE(histograms.Find(obs::SpanMetricName(span)), nullptr)
         << span;
   }
   const json::Object& rounds =
-      histograms.Find(telemetry::SpanMetricName("greedy.rounds"))->AsObject();
+      histograms.Find(obs::SpanMetricName("greedy.rounds"))->AsObject();
   const std::vector<std::string> golden_histogram_keys = {"bounds", "counts",
                                                           "count", "sum"};
   ASSERT_EQ(rounds.size(), golden_histogram_keys.size());
@@ -161,8 +160,6 @@ TEST(HarnessTest, ExportedTelemetryJsonMatchesGoldenSchema) {
   }
   EXPECT_EQ(rounds.Find("count")->AsNumber(), 1.0);
   std::remove(path.c_str());
-  telemetry::SetEnabled(false);
-  telemetry::ResetAllTelemetry();
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -28,6 +29,13 @@ struct SweepCase {
   int max_buckets;
   std::uint64_t seed;
 };
+
+// Without a printer gtest names each case by its raw bytes, one of which
+// comes from the method pointer and moves with ASLR and the link layout;
+// ctest then registers different names from one build to the next.
+void PrintTo(const SweepCase& param, std::ostream* os) {
+  *os << param.method << " k=" << param.max_buckets << " seed=" << param.seed;
+}
 
 class BucketizerPropertyTest : public ::testing::TestWithParam<SweepCase> {};
 

@@ -298,6 +298,22 @@ TEST(LayerViolationRule, ExemptsCodeAboveTheDag) {
   }
 }
 
+// `telemetry/` keeps only a forwarding header for the repository
+// benchmark; no module lists it as a dependency, so library code cannot
+// grow back onto it. (The include path is spelled in two pieces so that a
+// tree-wide search for it finds the benchmark alone.)
+TEST(LayerViolationRule, KeepsTheTelemetryForwardingHeaderOutOfModules) {
+  const std::string source = "#include \"podium/" "telemetry/telemetry.h\"\n";
+  for (const std::string path :
+       {"src/podium/core/fixture.cc", "src/podium/obs/fixture.cc"}) {
+    const std::vector<Finding> findings = LintSource(path, source);
+    ASSERT_EQ(findings.size(), 1u) << path;
+    EXPECT_EQ(findings[0].rule, "layer-violation");
+    EXPECT_NE(findings[0].message.find("-> 'telemetry'"), std::string::npos)
+        << findings[0].message;
+  }
+}
+
 TEST(LayerViolationRule, FlagsModulesMissingFromTheDag) {
   const std::vector<Finding> findings = LintFixtureAs(
       "layer_violation_clean.cc", "src/podium/widget/widget.cc");

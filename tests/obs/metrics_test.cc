@@ -1,4 +1,4 @@
-#include "podium/telemetry/telemetry.h"
+#include "podium/obs/metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -12,25 +12,18 @@
 #include "podium/core/instance.h"
 #include "podium/json/parser.h"
 #include "podium/json/writer.h"
+#include "podium/obs/export.h"
 #include "podium/obs/trace.h"
-#include "podium/telemetry/export.h"
 #include "tests/testing/table2.h"
 
-namespace podium::telemetry {
+namespace podium::obs {
 namespace {
 
-/// Telemetry state is process-global; every test starts enabled and clean
-/// and leaves the library default (disabled, empty) behind.
+/// The registry is process-global and always records; every test starts
+/// from zeroed metrics.
 class TelemetryTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    SetEnabled(true);
-    ResetAllTelemetry();
-  }
-  void TearDown() override {
-    SetEnabled(false);
-    ResetAllTelemetry();
-  }
+  void SetUp() override { MetricsRegistry::Global().Reset(); }
 };
 
 TEST_F(TelemetryTest, CounterCountsAndResets) {
@@ -114,13 +107,13 @@ TEST_F(TelemetryTest, SpanMetricNamesRoundTrip) {
 
 TEST_F(TelemetryTest, NestedSpansAggregatePerName) {
   {
-    obs::Span outer("test.outer");
+    Span outer("test.outer");
     for (int i = 0; i < 2; ++i) {
-      obs::Span inner(std::string("test.") + "inner");  // temporary name
+      Span inner(std::string("test.") + "inner");  // temporary name
     }
     EXPECT_GE(outer.ElapsedSeconds(), 0.0);
   }
-  { obs::Span outer("test.outer"); }
+  { Span outer("test.outer"); }
   const Histogram& outer = SpanHistogram("test.outer");
   const Histogram& inner = SpanHistogram("test.inner");
   EXPECT_EQ(outer.Count(), 2u);
@@ -130,25 +123,11 @@ TEST_F(TelemetryTest, NestedSpansAggregatePerName) {
 }
 
 TEST_F(TelemetryTest, ResetZeroesSpanHistograms) {
-  { obs::Span span("test.reset"); }
+  { Span span("test.reset"); }
   ASSERT_EQ(SpanHistogram("test.reset").Count(), 1u);
-  ResetAllTelemetry();
+  MetricsRegistry::Global().Reset();
   EXPECT_EQ(SpanHistogram("test.reset").Count(), 0u);
   EXPECT_EQ(SpanHistogram("test.reset").Sum(), 0.0);
-}
-
-TEST_F(TelemetryTest, DisabledSpanRecordsNothing) {
-  SetEnabled(false);
-  {
-    obs::Span span("test.disabled");
-    EXPECT_GE(span.ElapsedSeconds(), 0.0);
-  }
-  obs::RecordSpan("test.disabled", 0.0, 1.0);
-  SetEnabled(true);
-  for (const auto& [name, histogram] :
-       MetricsRegistry::Global().Snapshot().histograms) {
-    EXPECT_NE(SpanNameOf(name), "test.disabled");
-  }
 }
 
 /// Shared repository: instances keep a pointer into it, so it must outlive
@@ -176,21 +155,21 @@ Selection RunGreedy(std::size_t budget) {
 }
 
 /// Runs the greedy under a fresh request trace and returns the trace.
-obs::TraceContext RunTracedGreedy(std::size_t budget,
+TraceContext RunTracedGreedy(std::size_t budget,
                                   Selection* selection_out) {
-  obs::TraceContext trace(obs::TraceId::Generate());
-  obs::TraceScope scope(&trace);
+  TraceContext trace(TraceId::Generate());
+  TraceScope scope(&trace);
   *selection_out = RunGreedy(budget);
   return trace;
 }
 
 /// The value of attribute `key` on the i-th span named `name`.
-double Attribute(const obs::TraceContext& trace, std::string_view name,
+double Attribute(const TraceContext& trace, std::string_view name,
                  std::string_view key, std::size_t nth = 0) {
-  for (const obs::TraceSpan& span : trace.spans()) {
+  for (const TraceSpan& span : trace.spans()) {
     if (span.name != name) continue;
     if (nth-- > 0) continue;
-    for (const obs::SpanAttribute& attribute : span.attributes) {
+    for (const SpanAttribute& attribute : span.attributes) {
       if (attribute.key == key) return attribute.value;
     }
     ADD_FAILURE() << name << " has no attribute " << key;
@@ -203,10 +182,10 @@ double Attribute(const obs::TraceContext& trace, std::string_view name,
 TEST_F(TelemetryTest, GreedyRoundsSpanCarriesRunTotals) {
   constexpr std::size_t kBudget = 3;
   Selection selection;
-  const obs::TraceContext trace =
+  const TraceContext trace =
       RunTracedGreedy(kBudget, &selection);
   // greedy.select -> setup / init / rounds / score, in that order.
-  const std::vector<obs::TraceSpan>& spans = trace.spans();
+  const std::vector<TraceSpan>& spans = trace.spans();
   ASSERT_EQ(spans.size(), 5u);
   EXPECT_EQ(spans[0].name, "greedy.select");
   EXPECT_EQ(spans[0].parent, -1);
@@ -238,7 +217,7 @@ TEST_F(TelemetryTest, GreedyRoundsSpanCarriesRunTotals) {
 TEST_F(TelemetryTest, ZeroGainTailCountsOnTheRoundsSpan) {
   const std::size_t all = Table2Repo().user_count();
   Selection selection;
-  const obs::TraceContext trace = RunTracedGreedy(all, &selection);
+  const TraceContext trace = RunTracedGreedy(all, &selection);
   EXPECT_EQ(selection.users.size(), all);
   auto& registry = MetricsRegistry::Global();
   EXPECT_EQ(Attribute(trace, "greedy.rounds", "rounds"),
@@ -253,14 +232,14 @@ TEST_F(TelemetryTest, ZeroGainTailCountsOnTheRoundsSpan) {
 }
 
 TEST_F(TelemetryTest, TraceSeparatesConsecutiveRuns) {
-  obs::TraceContext trace(obs::TraceId::Generate());
+  TraceContext trace(TraceId::Generate());
   {
-    obs::TraceScope scope(&trace);
+    TraceScope scope(&trace);
     RunGreedy(2);
     RunGreedy(2);
   }
   std::size_t roots = 0;
-  for (const obs::TraceSpan& span : trace.spans()) {
+  for (const TraceSpan& span : trace.spans()) {
     if (span.name == "greedy.select") {
       EXPECT_EQ(span.parent, -1);
       ++roots;
@@ -273,19 +252,25 @@ TEST_F(TelemetryTest, TraceSeparatesConsecutiveRuns) {
   EXPECT_EQ(MetricsRegistry::Global().counter("greedy.runs").Value(), 2u);
 }
 
-// With telemetry off and no request trace installed, a greedy run leaves
-// no record anywhere: no counter or span histogram moves.
+// The sharded selector runs its greedies under TraceScope(nullptr): with
+// tracing disabled a run adds no span to the enclosing request trace, yet
+// the registry still records it.
 TEST_F(TelemetryTest, DisabledGreedyRecordsNoTrace) {
-  SetEnabled(false);
-  RunGreedy(2);
-  SetEnabled(true);
-  const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
-  for (const auto& [name, value] : snapshot.counters) {
-    EXPECT_EQ(value, 0u) << name;
+  TraceContext trace(TraceId::Generate());
+  {
+    TraceScope scope(&trace);
+    {
+      TraceScope no_trace(nullptr);
+      EXPECT_EQ(CurrentTrace(), nullptr);
+      RunGreedy(2);
+    }
+    EXPECT_EQ(CurrentTrace(), &trace);
   }
-  for (const auto& [name, histogram] : snapshot.histograms) {
-    EXPECT_EQ(histogram.count, 0u) << name;
-  }
+  EXPECT_TRUE(trace.spans().empty());
+  EXPECT_EQ(MetricsRegistry::Global().counter("greedy.runs").Value(), 1u);
+  EXPECT_EQ(MetricsRegistry::Global().counter("greedy.rounds").Value(), 2u);
+  EXPECT_EQ(SpanHistogram("greedy.select").Count(), 1u);
+  EXPECT_EQ(SpanHistogram("greedy.rounds").Count(), 1u);
 }
 
 // Telemetry memory is bounded by the number of distinct metric names, not
@@ -402,7 +387,7 @@ TEST_F(TelemetryTest, RenderTimingSummaryListsPhasesAndCounters) {
 
 TEST_F(TelemetryTest, ResetAllTelemetryClearsEveryStore) {
   RunGreedy(2);
-  ResetAllTelemetry();
+  MetricsRegistry::Global().Reset();
   EXPECT_EQ(MetricsRegistry::Global()
                 .counter("greedy.rounds")
                 .Value(),
@@ -411,4 +396,4 @@ TEST_F(TelemetryTest, ResetAllTelemetryClearsEveryStore) {
 }
 
 }  // namespace
-}  // namespace podium::telemetry
+}  // namespace podium::obs

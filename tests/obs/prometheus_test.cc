@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "podium/telemetry/telemetry.h"
+#include "podium/obs/metrics.h"
 
 namespace podium::obs {
 namespace {
@@ -76,7 +76,7 @@ TEST(ParseMetricNameTest, MalformedLabelSyntaxFallsBackToPlainName) {
 // --- RenderPrometheus ------------------------------------------------------
 
 TEST(RenderPrometheusTest, RendersCountersAndGauges) {
-  telemetry::MetricsSnapshot snapshot;
+  MetricsSnapshot snapshot;
   snapshot.counters.emplace_back("serve.select.total", 42);
   snapshot.gauges.emplace_back("serve.queue.depth", 2.5);
 
@@ -90,7 +90,7 @@ TEST(RenderPrometheusTest, RendersCountersAndGauges) {
 }
 
 TEST(RenderPrometheusTest, LabelVariantsShareOneTypeHeader) {
-  telemetry::MetricsSnapshot snapshot;
+  MetricsSnapshot snapshot;
   snapshot.counters.emplace_back("serve.http.responses{code=\"200\"}", 10);
   snapshot.counters.emplace_back("serve.http.responses{code=\"404\"}", 3);
 
@@ -104,12 +104,12 @@ TEST(RenderPrometheusTest, LabelVariantsShareOneTypeHeader) {
 TEST(RenderPrometheusTest, HistogramBucketsAreCumulative) {
   // The registry snapshot stores per-range counts; the exposition format
   // wants running totals ending in +Inf == count.
-  telemetry::HistogramSnapshot histogram;
+  HistogramSnapshot histogram;
   histogram.bounds = {0.1, 1.0};
   histogram.counts = {2, 3, 4};  // (-inf,0.1], (0.1,1], (1,+inf)
   histogram.count = 9;
   histogram.sum = 5.5;
-  telemetry::MetricsSnapshot snapshot;
+  MetricsSnapshot snapshot;
   snapshot.histograms.emplace_back("serve.latency_seconds", histogram);
 
   EXPECT_EQ(RenderPrometheus(snapshot),
@@ -122,12 +122,12 @@ TEST(RenderPrometheusTest, HistogramBucketsAreCumulative) {
 }
 
 TEST(RenderPrometheusTest, LabeledHistogramMergesLabelsWithLe) {
-  telemetry::HistogramSnapshot histogram;
+  HistogramSnapshot histogram;
   histogram.bounds = {1.0};
   histogram.counts = {1, 0};
   histogram.count = 1;
   histogram.sum = 0.25;
-  telemetry::MetricsSnapshot snapshot;
+  MetricsSnapshot snapshot;
   snapshot.histograms.emplace_back(
       "serve.http.request_seconds{path=\"/v1/select\"}", histogram);
 
@@ -143,7 +143,7 @@ TEST(RenderPrometheusTest, LabeledHistogramMergesLabelsWithLe) {
 TEST(RenderPrometheusTest, EscapesLabelValuesAndSanitizesLabelNames) {
   // The registry value carries a raw backslash and newline; the rendered
   // series must escape both and sanitize the dotted label name.
-  telemetry::MetricsSnapshot snapshot;
+  MetricsSnapshot snapshot;
   snapshot.counters.emplace_back("hits{bad.name=\"a\\b\nc\"}", 1);
 
   EXPECT_EQ(RenderPrometheus(snapshot),
@@ -152,7 +152,7 @@ TEST(RenderPrometheusTest, EscapesLabelValuesAndSanitizesLabelNames) {
 }
 
 TEST(RenderPrometheusTest, FamiliesAreSortedByName) {
-  telemetry::MetricsSnapshot snapshot;
+  MetricsSnapshot snapshot;
   snapshot.counters.emplace_back("zzz.last", 1);
   snapshot.counters.emplace_back("aaa.first", 1);
 
@@ -161,7 +161,7 @@ TEST(RenderPrometheusTest, FamiliesAreSortedByName) {
 }
 
 TEST(RenderPrometheusTest, NonFiniteValuesRenderGoStyle) {
-  telemetry::MetricsSnapshot snapshot;
+  MetricsSnapshot snapshot;
   snapshot.gauges.emplace_back("inf.gauge",
                                std::numeric_limits<double>::infinity());
   snapshot.gauges.emplace_back("nan.gauge",

@@ -8,8 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "podium/telemetry/export.h"
-#include "podium/telemetry/telemetry.h"
+#include "podium/obs/metrics.h"
 
 namespace podium::obs {
 namespace {
@@ -141,8 +140,7 @@ TEST(SpanTest, RecordsAgainstTheCurrentTrace) {
 
 TEST(SpanTest, IsANoOpWithoutACurrentTrace) {
   ASSERT_EQ(CurrentTrace(), nullptr);
-  ASSERT_FALSE(telemetry::Enabled());
-  Span span("orphan");  // must not crash or record anywhere
+  Span span("orphan");  // no trace to land in: must not crash
   span.SetAttribute("ignored", 1.0);
   EXPECT_GE(span.ElapsedSeconds(), 0.0);
 }
@@ -172,11 +170,9 @@ TEST(SpanTest, AttributesAndCompletedSpansLandInTheTrace) {
 }
 
 TEST(SpanTest, FeedsTheSpanHistogramWithOrWithoutATrace) {
-  telemetry::SetEnabled(true);
-  telemetry::ResetAllTelemetry();
-  const telemetry::Histogram& histogram =
-      telemetry::MetricsRegistry::Global().histogram(
-          telemetry::SpanMetricName("test.aggregate"));
+  MetricsRegistry::Global().Reset();
+  const Histogram& histogram =
+      MetricsRegistry::Global().histogram(SpanMetricName("test.aggregate"));
   { Span untraced("test.aggregate"); }
   RecordSpan("test.aggregate", 0.0, 2.0);
   TraceContext trace(TraceId::Generate());
@@ -187,8 +183,6 @@ TEST(SpanTest, FeedsTheSpanHistogramWithOrWithoutATrace) {
   EXPECT_EQ(histogram.Count(), 3u);
   EXPECT_GE(histogram.Sum(), 2.0);
   EXPECT_EQ(trace.spans().size(), 1u);
-  telemetry::SetEnabled(false);
-  telemetry::ResetAllTelemetry();
 }
 
 // --- TraceRing -------------------------------------------------------------

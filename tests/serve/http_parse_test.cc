@@ -1,6 +1,7 @@
-// Hardening tests for the HTTP/1.1 parsers, driven through the exact
-// production read path (socketpair + BufferedReader) via
-// check::ParseRequestBytes / check::ParseResponseBytes.
+// Hardening tests for the HTTP/1.1 parsers, driven through the paths
+// production uses: requests through the event loop's incremental parser
+// (check::ParseRequestBytes), responses through the client's blocking
+// reader over a socketpair (check::ParseResponseBytes).
 
 #include <cstddef>
 #include <optional>

@@ -12,7 +12,9 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,11 +22,11 @@
 #include <gtest/gtest.h>
 
 #include "podium/json/parser.h"
+#include "podium/obs/metrics.h"
 #include "podium/obs/trace.h"
 #include "podium/serve/handlers.h"
 #include "podium/serve/service.h"
-#include "podium/telemetry/export.h"
-#include "podium/telemetry/telemetry.h"
+#include "podium/util/string_util.h"
 #include "tests/testing/table2.h"
 
 namespace podium::serve {
@@ -33,8 +35,7 @@ namespace {
 class HttpServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    telemetry::SetEnabled(true);
-    telemetry::ResetAllTelemetry();
+    obs::MetricsRegistry::Global().Reset();
 
     SnapshotOptions snapshot_options;
     snapshot_options.instance.budget = 3;
@@ -56,8 +57,6 @@ class HttpServerTest : public ::testing::Test {
 
   void TearDown() override {
     server_->Stop();
-    telemetry::SetEnabled(false);
-    telemetry::ResetAllTelemetry();
   }
 
   HttpResponse RoundTrip(HttpClient& client, const std::string& method,
@@ -206,7 +205,7 @@ TEST_F(HttpServerTest, MetricsExposeServeCountersAndHistograms) {
   const json::Value* histograms = root.Find("histograms");
   ASSERT_NE(histograms, nullptr);
   const json::Value* latency =
-      histograms->AsObject().Find(telemetry::SpanMetricName("select"));
+      histograms->AsObject().Find(obs::SpanMetricName("select"));
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->AsObject().Find("count")->AsNumber(), 2.0);
 }
@@ -310,7 +309,7 @@ TEST_F(HttpServerTest, MissTraceReachesIntoTheGreedy) {
   const std::string supplied = "fedcba9876543210fedcba9876543210";
   HttpClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
-  auto& links = telemetry::MetricsRegistry::Global().counter(
+  auto& links = obs::MetricsRegistry::Global().counter(
       "greedy.retired_links");
   const std::uint64_t links_before = links.Value();
   HttpRequest request;
@@ -375,7 +374,7 @@ TEST_F(HttpServerTest, MissTraceReachesIntoTheGreedy) {
       RoundTrip(client, "GET", "/metrics?format=prometheus").body;
   for (const json::Value& span : *spans) {
     const std::string& name = span.AsObject().Find("name")->AsString();
-    EXPECT_NE(histograms.Find(telemetry::SpanMetricName(name)), nullptr)
+    EXPECT_NE(histograms.Find(obs::SpanMetricName(name)), nullptr)
         << name;
     EXPECT_NE(prometheus.find("span_seconds_count{span=\"" + name + "\"}"),
               std::string::npos)
@@ -471,12 +470,12 @@ TEST_F(HttpServerTest, ConcurrentClientsAllSucceed) {
     });
   }
   for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(telemetry::MetricsRegistry::Global()
+  EXPECT_EQ(obs::MetricsRegistry::Global()
                 .counter("serve.requests")
                 .Value(),
             static_cast<std::uint64_t>(kClients) * kRequestsEach);
   EXPECT_EQ(
-      telemetry::MetricsRegistry::Global().counter("serve.errors").Value(),
+      obs::MetricsRegistry::Global().counter("serve.errors").Value(),
       0u);
 }
 
@@ -584,7 +583,7 @@ TEST_F(HttpServerTest, AcceptFailuresBackOffAndRecover) {
   Result<HttpResponse> response = client.RoundTrip(request);
   ASSERT_TRUE(response.ok()) << response.status();
   EXPECT_EQ(response->status, 200);
-  EXPECT_GE(telemetry::MetricsRegistry::Global()
+  EXPECT_GE(obs::MetricsRegistry::Global()
                 .counter("serve.http.accept_failures")
                 .Value(),
             2u);
@@ -682,6 +681,180 @@ TEST_F(HttpServerTest, IdleKeepAliveConnectionsDoNotHoldWorkers) {
     }
   }
   server->Stop();
+}
+
+// The metric names the registry holds, from the /metrics JSON export.
+std::set<std::string> MetricNames(const HttpResponse& metrics) {
+  std::set<std::string> names;
+  Result<json::Value> body = json::Parse(metrics.body);
+  EXPECT_TRUE(body.ok()) << body.status();
+  if (!body.ok()) return names;
+  for (const char* kind : {"counters", "gauges", "histograms"}) {
+    for (const auto& [name, value] :
+         body->AsObject().Find(kind)->AsObject().entries()) {
+      names.insert(std::string(kind) + " " + name);
+    }
+  }
+  return names;
+}
+
+// Sample lines (series) in a Prometheus exposition.
+std::size_t SeriesCount(const HttpResponse& exposition) {
+  std::size_t series = 0;
+  for (const std::string& line : util::Split(exposition.body, '\n')) {
+    if (!line.empty() && line[0] != '#') ++series;
+  }
+  return series;
+}
+
+// Recording is always on, so whatever clients send must not grow the
+// registry: no request-derived string (trace id, budget, body, label,
+// path, query, garbage bytes) may become a metric name. Every request
+// kind runs in a 20-request warm-up; 2,000 more requests with distinct
+// parameters then leave the metric names and the Prometheus series count
+// exactly where the warm-up left them.
+TEST_F(HttpServerTest, MetricNamesStayBoundedUnderRequestChurn) {
+  HttpClient client;
+  // Request i has kind i % size(kinds), with parameters drawn from i.
+  const std::vector<std::function<int(int)>> kinds = {
+      [&](int i) {  // a cold select under a client-supplied trace id
+        HttpRequest request;
+        request.method = "POST";
+        request.target = "/v1/select";
+        request.body = "{\"budget\": " + std::to_string(1 + i % 5) + "}";
+        request.headers.emplace_back(
+            "X-Podium-Trace-Id", util::StringPrintf("%032x", i + 1));
+        Result<HttpResponse> response = client.RoundTrip(request);
+        return response.ok() ? response->status : -1;
+      },
+      [&](int i) {  // a pooled instance, built once and then reused
+        return RoundTrip(client, "POST", "/v1/select",
+                         "{\"weights\": \"Iden\", \"budget\": " +
+                             std::to_string(1 + i % 5) + "}")
+            .status;
+      },
+      [&](int i) {  // an instance per budget, with explanations
+        return RoundTrip(client, "POST", "/v1/select",
+                         "{\"weights\": \"EBS\", \"coverage\": \"Prop\", "
+                         "\"explain\": true, \"budget\": " +
+                             std::to_string(1 + i % 5) + "}")
+            .status;
+      },
+      [&](int i) {  // customized, with a per-request deadline
+        return RoundTrip(client, "POST", "/v1/select",
+                         "{\"must_have\": [\"livesIn Tokyo\"], "
+                         "\"deadline_ms\": " +
+                             std::to_string(1000 + i) + "}")
+            .status;
+      },
+      [&](int) {  // the same body every time: a cache hit
+        return RoundTrip(client, "POST", "/v1/select", R"({"budget": 2})")
+            .status;
+      },
+      [&](int i) {  // an unknown label
+        return RoundTrip(client, "POST", "/v1/select",
+                         "{\"must_have\": [\"livesIn Atlantis " +
+                             std::to_string(i) + "\"]}")
+            .status;
+      },
+      [&](int i) {  // an unknown field
+        return RoundTrip(client, "POST", "/v1/select",
+                         "{\"field_" + std::to_string(i) + "\": 1}")
+            .status;
+      },
+      [&](int i) {  // malformed JSON
+        return RoundTrip(client, "POST", "/v1/select",
+                         "{\"budget\": " + std::to_string(i))
+            .status;
+      },
+      [&](int i) {  // the wrong method
+        return RoundTrip(client, "GET", "/v1/select?n=" + std::to_string(i))
+            .status;
+      },
+      [&](int i) {  // an unknown path
+        return RoundTrip(client, "GET",
+                         "/no/route/" + std::to_string(i) + "?q=" +
+                             std::to_string(i))
+            .status;
+      },
+      [&](int i) {  // a trace id that does not parse
+        HttpRequest request;
+        request.method = "GET";
+        request.target = "/healthz";
+        request.headers.emplace_back("X-Podium-Trace-Id",
+                                     "not-hex-" + std::to_string(i));
+        Result<HttpResponse> response = client.RoundTrip(request);
+        return response.ok() ? response->status : -1;
+      },
+      [&](int) {
+        return RoundTrip(client, "GET", "/metrics?format=prometheus").status;
+      },
+      [&](int i) {  // an unknown metrics format
+        return RoundTrip(client, "GET",
+                         "/metrics?format=f" + std::to_string(i))
+            .status;
+      },
+      [&](int i) {
+        return RoundTrip(client, "GET",
+                         "/v1/traces?limit=" + std::to_string(1 + i % 50))
+            .status;
+      },
+      [&](int) {  // reload is not configured on this server
+        return RoundTrip(client, "POST", "/v1/reload").status;
+      },
+      [&](int i) {  // a malformed request line: 400, then the loop hangs up
+        const int status =
+            RoundTrip(client, "GET", "/bad target " + std::to_string(i))
+                .status;
+        client.Close();
+        return status;
+      },
+      [&](int i) {  // chunked transfer encoding: 400, then a hangup
+        HttpRequest request;
+        request.method = "POST";
+        request.target = "/v1/select";
+        request.headers.emplace_back("Transfer-Encoding", "chunked");
+        request.body = std::to_string(i);
+        Result<HttpResponse> response = client.RoundTrip(request);
+        client.Close();
+        return response.ok() ? response->status : -1;
+      },
+  };
+  const std::vector<int> expected_status = {200, 200, 200, 200, 200, 404,
+                                            400, 400, 400, 404, 200, 200,
+                                            400, 200, 404, 400, 400};
+  ASSERT_EQ(kinds.size(), expected_status.size());
+  const auto run = [&](int begin, int end) {
+    for (int i = begin; i < end; ++i) {
+      if (!client.connected()) {
+        ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+      }
+      const std::size_t kind = static_cast<std::size_t>(i) % kinds.size();
+      ASSERT_EQ(kinds[kind](i), expected_status[kind])
+          << "request " << i << " (kind " << kind << ")";
+    }
+  };
+
+  constexpr int kWarmUp = 20;
+  constexpr int kChurn = 2000;
+  ASSERT_GE(kWarmUp, static_cast<int>(kinds.size()));
+  run(0, kWarmUp);
+  const std::set<std::string> early =
+      MetricNames(RoundTrip(client, "GET", "/metrics"));
+  const std::size_t early_series =
+      SeriesCount(RoundTrip(client, "GET", "/metrics?format=prometheus"));
+  run(kWarmUp, kWarmUp + kChurn);
+  const std::set<std::string> late =
+      MetricNames(RoundTrip(client, "GET", "/metrics"));
+  const std::size_t late_series =
+      SeriesCount(RoundTrip(client, "GET", "/metrics?format=prometheus"));
+
+  EXPECT_EQ(late, early);
+  EXPECT_EQ(late_series, early_series);
+  EXPECT_GT(early.count(
+                "histograms serve.http.request_seconds{path=\"other\"}"),
+            0u);
+  EXPECT_GT(early.count("counters serve.batch.instance_reuse"), 0u);
 }
 
 }  // namespace

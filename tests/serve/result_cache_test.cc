@@ -6,30 +6,20 @@
 
 #include <gtest/gtest.h>
 
-#include "podium/telemetry/export.h"
-#include "podium/telemetry/telemetry.h"
+#include "podium/obs/metrics.h"
 
 namespace podium::serve {
 namespace {
 
 class ResultCacheTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    telemetry::SetEnabled(true);
-    telemetry::ResetAllTelemetry();
-  }
-  void TearDown() override {
-    telemetry::SetEnabled(false);
-    telemetry::ResetAllTelemetry();
-  }
+  void SetUp() override { obs::MetricsRegistry::Global().Reset(); }
 
   std::uint64_t Hits() {
-    return telemetry::MetricsRegistry::Global()
-        .counter("serve.cache.hits")
-        .Value();
+    return obs::MetricsRegistry::Global().counter("serve.cache.hits").Value();
   }
   std::uint64_t Misses() {
-    return telemetry::MetricsRegistry::Global()
+    return obs::MetricsRegistry::Global()
         .counter("serve.cache.misses")
         .Value();
   }

@@ -10,8 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "podium/json/parser.h"
-#include "podium/telemetry/export.h"
-#include "podium/telemetry/telemetry.h"
+#include "podium/obs/metrics.h"
 #include "tests/testing/table2.h"
 
 namespace podium::serve {
@@ -42,19 +41,12 @@ json::Value ParseBody(const std::string& body) {
 }
 
 std::uint64_t CounterValue(const char* name) {
-  return telemetry::MetricsRegistry::Global().counter(name).Value();
+  return obs::MetricsRegistry::Global().counter(name).Value();
 }
 
 class SelectionServiceTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    telemetry::SetEnabled(true);
-    telemetry::ResetAllTelemetry();
-  }
-  void TearDown() override {
-    telemetry::SetEnabled(false);
-    telemetry::ResetAllTelemetry();
-  }
+  void SetUp() override { obs::MetricsRegistry::Global().Reset(); }
 };
 
 TEST_F(SelectionServiceTest, SelectsWithSnapshotDefaults) {

@@ -12,8 +12,7 @@
 
 #include <gtest/gtest.h>
 
-#include "podium/telemetry/export.h"
-#include "podium/telemetry/telemetry.h"
+#include "podium/obs/metrics.h"
 #include "podium/util/mutex.h"
 
 namespace podium::serve {
@@ -21,17 +20,10 @@ namespace {
 
 class SingleFlightTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    telemetry::SetEnabled(true);
-    telemetry::ResetAllTelemetry();
-  }
-  void TearDown() override {
-    telemetry::SetEnabled(false);
-    telemetry::ResetAllTelemetry();
-  }
+  void SetUp() override { obs::MetricsRegistry::Global().Reset(); }
 
   static std::uint64_t Counter(const char* name) {
-    return telemetry::MetricsRegistry::Global().counter(name).Value();
+    return obs::MetricsRegistry::Global().counter(name).Value();
   }
 };
 

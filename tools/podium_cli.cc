@@ -14,7 +14,7 @@
 //       group labels as printed by `podium groups`, ';'-separated.
 //       --timing prints a span/counter summary after the report;
 //       --telemetry-out writes the full telemetry JSON export
-//       (schema in DESIGN.md §"Telemetry & profiling").
+//       (schema in DESIGN.md §11).
 //   podium suggest --profiles=FILE [--budget=B] [--max=N]
 //       Select, then print refinement suggestions (groups to prioritize,
 //       exclude or stop diversifying on) with rationales.
@@ -45,10 +45,9 @@
 #include "bench/common/flags.h"
 #include "podium/core/podium.h"
 #include "podium/ingest/yelp.h"
-#include "podium/obs/log.h"
 #include "podium/json/writer.h"
-#include "podium/telemetry/export.h"
-#include "podium/telemetry/telemetry.h"
+#include "podium/obs/export.h"
+#include "podium/obs/log.h"
 #include "podium/util/string_util.h"
 #include "podium/util/thread_pool.h"
 
@@ -177,9 +176,6 @@ int RunSelect(podium::bench::Flags& flags) {
   const auto budget = static_cast<std::size_t>(flags.Int("budget", 8));
   const bool timing = flags.Bool("timing", false);
   const std::string telemetry_out = flags.String("telemetry-out", "");
-  // Enable before instance construction so grouping/bucketizing phases
-  // are captured too.
-  if (timing || !telemetry_out.empty()) podium::telemetry::SetEnabled(true);
   const podium::ProfileRepository repository = LoadRepository(path);
   const podium::DiversificationInstance instance =
       BuildInstance(repository, flags, budget);
@@ -225,10 +221,10 @@ int RunSelect(podium::bench::Flags& flags) {
   }
   if (timing) {
     std::printf("\n-- timing --\n%s",
-                podium::telemetry::RenderTimingSummary().c_str());
+                podium::obs::RenderTimingSummary().c_str());
   }
   if (!telemetry_out.empty()) {
-    Check(podium::telemetry::WriteTelemetryJson(telemetry_out));
+    Check(podium::obs::WriteTelemetryJson(telemetry_out));
     std::printf("wrote telemetry to %s\n", telemetry_out.c_str());
   }
   return 0;

@@ -52,7 +52,6 @@
 #include "podium/serve/handlers.h"
 #include "podium/serve/http_server.h"
 #include "podium/serve/service.h"
-#include "podium/telemetry/telemetry.h"
 #include "podium/util/string_util.h"
 #include "podium/util/thread_pool.h"
 
@@ -168,8 +167,6 @@ int main(int argc, char** argv) {
   }
   podium::util::ThreadPool::SetGlobalThreadCount(
       static_cast<std::size_t>(threads));
-  // /metrics serves the telemetry export; keep it recording.
-  podium::telemetry::SetEnabled(true);
 
   podium::ProfileRepository repository =
       profiles.empty() ? GenerateProfiles(generate, users, seed)

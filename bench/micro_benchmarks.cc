@@ -1,6 +1,6 @@
-// google-benchmark microbenchmarks for the hot paths: greedy selection,
-// group-index construction, the bucketizers, JSON parsing, Jaccard
-// distance, and CD-sim.
+// google-benchmark microbenchmarks for the hot paths: greedy selection
+// (scalar and EBS), group-index construction, the bucketizers, JSON
+// parsing, Jaccard distance, and CD-sim.
 //
 // Custom main: all google-benchmark flags work as usual, plus
 //   --bench-out=PATH       write the run as a canonical BENCH_*.json perf
@@ -238,6 +238,23 @@ void BM_GreedySelect(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreedySelect)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
+
+// EBS/Single over the shared instance's groups: the refinement argmax. The
+// instance is built once, outside the timed loop.
+void BM_GreedySelectEbs(benchmark::State& state) {
+  const auto budget = static_cast<std::size_t>(state.range(0));
+  const DiversificationInstance& shared = SharedInstance();
+  const DiversificationInstance instance =
+      DiversificationInstance::FromGroups(shared.repository(), shared.groups(),
+                                          WeightKind::kEbs,
+                                          CoverageKind::kSingle, budget)
+          .value();
+  GreedySelector selector;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(selector.Select(instance, budget));
+  }
+}
+BENCHMARK(BM_GreedySelectEbs)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
 
 void BM_DistanceSelect(benchmark::State& state) {
   const DiversificationInstance& instance = SharedInstance();

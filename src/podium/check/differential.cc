@@ -139,7 +139,8 @@ void CheckServePath(RoundLog& log, const datagen::Dataset& dataset,
                     const RoundPlan& plan, const Selection& oracle,
                     const DiversificationInstance& instance,
                     const Result<CustomSelection>& custom,
-                    const CustomizationFeedback& feedback) {
+                    const CustomizationFeedback& feedback,
+                    const std::vector<UserId>& ebs_users) {
   serve::SnapshotOptions snapshot_options;
   snapshot_options.instance = plan.instance;
   Result<std::shared_ptr<const serve::Snapshot>> snapshot =
@@ -266,6 +267,28 @@ void CheckServePath(RoundLog& log, const datagen::Dataset& dataset,
       log.Diverge(util::StringPrintf(
           "single-flight shared %zu of %zu replies (want %zu)", shared,
           kCallers, kCallers - 1));
+    }
+  }
+
+  // An EBS override through the wire: the service builds its own EBS
+  // instance over the snapshot's groups, which must select what the
+  // direct selector did on the round's EBS instance.
+  {
+    serve::SelectionRequest request;
+    request.budget = plan.budget;
+    request.weight_kind = WeightKind::kEbs;
+    request.coverage_kind = plan.instance.coverage_kind;
+    Result<serve::ServiceReply> reply = uncached.Select(request);
+    Result<std::vector<UserId>> served =
+        reply.ok() ? UsersFromBody(reply->body)
+                   : Result<std::vector<UserId>>(reply.status());
+    if (!served.ok()) {
+      log.Diverge("serve EBS Select failed: " + served.status().message());
+    } else if (served.value() != ebs_users) {
+      log.Diverge(util::StringPrintf(
+          "serve EBS selected %s, direct selector %s",
+          UsersToString(served.value()).c_str(),
+          UsersToString(ebs_users).c_str()));
     }
   }
 
@@ -538,6 +561,81 @@ void CheckShardedPath(RoundLog& log, const datagen::Dataset& dataset,
   }
 }
 
+/// The round's EBS legs: `ebs` has the round's groups, coverage and budget
+/// under wei(G) = (B+1)^ord(G). At every budget of the round, the greedy
+/// must select exactly what OracleEbsGreedy does on the full pool, on two
+/// restricted pools and under a random tie_break_order. Returns the
+/// full-pool selection at the round's budget, for the serve check.
+std::vector<UserId> CheckEbsGreedy(RoundLog& log,
+                                   const DiversificationInstance& ebs,
+                                   const std::vector<std::size_t>& budgets) {
+  // A stream of its own, so the scalar legs draw what they always drew.
+  util::Rng rng(log.seed ^ 0x4542530000000000ULL);
+  const std::size_t num_users = ebs.repository().user_count();
+  std::vector<UserId> order(num_users);
+  for (UserId u = 0; u < num_users; ++u) order[u] = u;
+  rng.Shuffle(order);
+  // About half the users; and the 3-6 users in the fewest groups, whose
+  // summed adjacency is smaller than the large groups, so their rounds
+  // finish from that adjacency, and whose short rank sequences often
+  // share a prefix. Both in shuffled order, with the first user repeated.
+  std::vector<UserId> half;
+  for (UserId u = 0; u < num_users; ++u) {
+    if (rng.NextBernoulli(0.5)) half.push_back(order[u]);
+  }
+  std::vector<UserId> few = order;
+  std::stable_sort(few.begin(), few.end(), [&](UserId a, UserId b) {
+    return ebs.groups().groups_of(a).size() < ebs.groups().groups_of(b).size();
+  });
+  few.resize(std::min<std::size_t>(3 + rng.NextBounded(4), num_users));
+  rng.Shuffle(few);
+  rng.Shuffle(order);
+  for (std::vector<UserId>* pool : {&half, &few}) {
+    if (pool->empty()) pool->push_back(0);
+    pool->push_back(pool->front());
+  }
+
+  struct Leg {
+    const char* name;
+    std::vector<UserId> pool;
+    std::vector<UserId> tie_order;
+  };
+  const Leg legs[] = {{"full pool", {}, {}},
+                      {"restricted pool", half, {}},
+                      {"small pool", few, {}},
+                      {"random tie order", {}, order}};
+  std::vector<UserId> served_reference;
+  for (const std::size_t budget : budgets) {
+    for (const Leg& leg : legs) {
+      GreedyOptions options;
+      options.candidate_pool = leg.pool;
+      options.tie_break_order = leg.tie_order;
+      Result<Selection> greedy = GreedySelector(options).Select(ebs, budget);
+      Result<std::vector<UserId>> oracle =
+          OracleEbsGreedy(ebs, budget, leg.pool, leg.tie_order);
+      const std::string what =
+          util::StringPrintf("EBS greedy (%s) at budget %zu", leg.name, budget);
+      if (!greedy.ok() || !oracle.ok()) {
+        log.Diverge(what + " failed: " +
+                    (!greedy.ok() ? greedy.status() : oracle.status())
+                        .message());
+        continue;
+      }
+      if (greedy->users != oracle.value()) {
+        log.Diverge(util::StringPrintf(
+            "%s selected %s, oracle %s", what.c_str(),
+            UsersToString(greedy->users).c_str(),
+            UsersToString(oracle.value()).c_str()));
+      }
+      if (budget == budgets.front() && leg.pool.empty() &&
+          leg.tie_order.empty()) {
+        served_reference = greedy->users;
+      }
+    }
+  }
+  return served_reference;
+}
+
 void RunRound(RoundLog& log, const DiffOptions& options, int round) {
   util::Rng rng(log.seed);
   RoundPlan plan;
@@ -596,6 +694,17 @@ void RunRound(RoundLog& log, const DiffOptions& options, int round) {
     }
     oracles.push_back(std::move(oracle).value());
   }
+
+  // The same groups, coverage and budget under EBS weights.
+  Result<DiversificationInstance> ebs = DiversificationInstance::FromGroups(
+      dataset->repository, instance->groups(), WeightKind::kEbs,
+      plan.instance.coverage_kind, plan.budget);
+  if (!ebs.ok()) {
+    log.Diverge("EBS instance build failed: " + ebs.status().message());
+    return;
+  }
+  const std::vector<UserId> ebs_users =
+      CheckEbsGreedy(log, ebs.value(), budgets);
 
   // Customized path: a random priority group and (sometimes) a must_not
   // filter; at every budget the selection must match the oracle run over
@@ -678,7 +787,7 @@ void RunRound(RoundLog& log, const DiffOptions& options, int round) {
 
   if (options.with_serve) {
     CheckServePath(log, dataset.value(), plan, oracles.front(),
-                   instance.value(), custom, feedback);
+                   instance.value(), custom, feedback, ebs_users);
   }
 
   if (!options.shard_counts.empty()) {

@@ -60,7 +60,12 @@ struct DiffReport {
 /// at the round's budget and, except on the tiny rounds, at budget = user
 /// count — plus the greedy invariants of invariants.h, and the (1 − 1/e)
 /// bound against the exhaustive optimum on instances small enough to
-/// enumerate.
+/// enumerate. The round's groups, coverage and budget under EBS weights
+/// must select the users OracleEbsGreedy selects, on the full pool, two
+/// random restricted pools and under a random tie order, at both budgets,
+/// and an EBS override through the serve path must serve the full-pool
+/// selection. The invariants and the approximation bound stay
+/// scalar-only.
 DiffReport RunDifferential(const DiffOptions& options);
 
 }  // namespace podium::check

@@ -1,6 +1,7 @@
 #include "podium/check/oracle.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "podium/util/string_util.h"
@@ -143,6 +144,76 @@ Result<Selection> OracleGreedy(const DiversificationInstance& instance,
   }
   selection.score = OracleScore(instance, selection.users);
   return selection;
+}
+
+Result<std::vector<UserId>> OracleEbsGreedy(
+    const DiversificationInstance& instance, std::size_t budget,
+    std::vector<UserId> pool, std::vector<UserId> tie_order) {
+  const std::size_t num_users = instance.repository().user_count();
+  const std::size_t num_groups = instance.groups().group_count();
+  if (budget == 0) return Status::InvalidArgument("budget must be positive");
+  if (instance.weight_kind() != WeightKind::kEbs) {
+    return Status::InvalidArgument("OracleEbsGreedy needs EBS weights");
+  }
+  if (pool.empty()) {
+    pool.resize(num_users);
+    for (UserId u = 0; u < num_users; ++u) pool[u] = u;
+  }
+  if (tie_order.empty()) {
+    tie_order.resize(num_users);
+    for (UserId u = 0; u < num_users; ++u) tie_order[u] = u;
+  }
+  // Scanning candidates in tie order and keeping strict improvements
+  // breaks ties toward the earlier user.
+  std::vector<UserId> candidates;
+  std::vector<std::uint8_t> in_pool(num_users, 0);
+  for (UserId u : pool) {
+    if (u >= num_users) {
+      return Status::OutOfRange("candidate pool user id out of range");
+    }
+    in_pool[u] = 1;
+  }
+  for (UserId u : tie_order) {
+    if (u < num_users && in_pool[u]) {
+      candidates.push_back(u);
+      in_pool[u] = 0;  // once, even if tie_order repeats it
+    }
+  }
+
+  std::vector<UserId> selected;
+  std::vector<std::uint8_t> taken(num_users, 0);
+  while (selected.size() < budget) {
+    std::vector<std::uint8_t> alive(num_groups, 0);
+    for (GroupId g = 0; g < num_groups; ++g) {
+      alive[g] =
+          DirectIntersection(instance, g, selected) < instance.coverage(g);
+    }
+    UserId chosen = kInvalidUser;
+    std::vector<std::uint32_t> best;
+    for (UserId u : candidates) {
+      if (taken[u]) continue;
+      const UserId single[] = {u};
+      std::vector<std::uint32_t> ranks;
+      for (GroupId g = 0; g < num_groups; ++g) {
+        if (alive[g] && DirectIntersection(instance, g, single) == 1) {
+          ranks.push_back(instance.weights().rank(g));
+        }
+      }
+      std::sort(ranks.begin(), ranks.end(), std::greater<std::uint32_t>());
+      // lexicographical_compare(best, ranks): ranks is larger at the first
+      // difference, or best is a proper prefix of it.
+      if (chosen == kInvalidUser ||
+          std::lexicographical_compare(best.begin(), best.end(),
+                                       ranks.begin(), ranks.end())) {
+        chosen = u;
+        best = std::move(ranks);
+      }
+    }
+    if (chosen == kInvalidUser) break;  // pool exhausted
+    taken[chosen] = 1;
+    selected.push_back(chosen);
+  }
+  return selected;
 }
 
 }  // namespace podium::check

@@ -17,9 +17,10 @@ namespace podium::check {
 /// no threads). Each is small enough to audit by eye; the optimized code
 /// is correct exactly when it agrees with these byte for byte.
 ///
-/// All oracles assume scalar (Iden/LBS) weights, where every quantity is a
+/// The scalar oracles assume Iden/LBS weights, where every quantity is a
 /// sum of small integers and double arithmetic is exact — so "agrees"
-/// means operator==, not within-epsilon.
+/// means operator==, not within-epsilon. EBS has its own oracle,
+/// OracleEbsGreedy, which compares ranks and never adds a weight.
 
 /// score_𝒢(U) straight from Def. 3.3: for every group, count members in
 /// `subset` by scanning the subset per group member — no index, no CSR.
@@ -58,6 +59,19 @@ Result<Selection> OracleGreedy(const DiversificationInstance& instance,
                                std::size_t budget,
                                std::vector<UserId> pool = {},
                                std::vector<std::uint8_t> tiers = {});
+
+/// Greedy User Selection under EBS weights, wei(G) = (B+1)^ord(G), straight
+/// from Algorithm 1: every round recomputes, from the group definitions
+/// (not the CSR), which groups are alive (|S ∩ G| < cov(G)) and each
+/// candidate's alive ranks, and takes the candidate whose descending rank
+/// sequence is the lexicographic maximum — the order the exponential
+/// weights induce, with a longer sequence winning a tied prefix. Ties go
+/// to the user earlier in `tie_order`; empty means ascending id. `pool`
+/// empty means the full population. Users only; the score is not
+/// computed (saturated weights make it +inf or NaN).
+Result<std::vector<UserId>> OracleEbsGreedy(
+    const DiversificationInstance& instance, std::size_t budget,
+    std::vector<UserId> pool = {}, std::vector<UserId> tie_order = {});
 
 }  // namespace podium::check
 

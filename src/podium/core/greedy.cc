@@ -4,7 +4,11 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <optional>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "podium/core/kernels.h"
 #include "podium/core/score.h"
@@ -106,7 +110,7 @@ struct SoaState {
   }
 };
 
-/// The zero-gain tail of RunScalarGreedy: appends up to `count` users of
+/// The zero-gain tail of both greedy loops: appends up to `count` users of
 /// the alive pool to `users` in ascending tie rank and returns how many it
 /// appended. Out of line so that the round loop, which most runs never
 /// leave early, keeps the shape it has without it.
@@ -125,91 +129,235 @@ struct SoaState {
   return static_cast<std::size_t>(take);
 }
 
-/// EBS gains: the set of ord-ranks of alive groups containing the user,
-/// kept sorted descending. Because ord is a permutation and the base B+1
-/// is >= 2, numeric comparison of Σ (B+1)^rank coincides with
-/// lexicographic comparison of the descending rank sequences (with the
-/// longer sequence winning on a tied prefix).
-struct EbsGain {
-  std::vector<std::uint32_t> ranks;  // descending
+/// The working state of one EBS run (RunEbsGreedy). None of it is a
+/// per-user gain: `mark` only stamps the current candidates with an epoch,
+/// and the rest is per group, per rank, or buffers reused across rounds.
+struct EbsState {
+  /// A candidate's alive ranks below the finishing bound, as the max-heap
+  /// ranks[begin, end).
+  struct RankHeap {
+    UserId user;
+    std::size_t begin;
+    std::size_t end;
+  };
 
-  void Remove(std::uint32_t rank) {
-    auto it = std::lower_bound(ranks.begin(), ranks.end(), rank,
-                               std::greater<std::uint32_t>());
-    if (it != ranks.end() && *it == rank) ranks.erase(it);
+  const GroupIndex& groups;
+  const GroupWeighting& weights;
+  std::span<const std::uint32_t> tie_rank;
+  std::vector<GroupId> group_at;         // per rank: the group holding it
+  std::vector<std::uint8_t> dead;        // per rank: |S ∩ G| reached cov(G)
+  std::vector<std::uint32_t> remaining;  // per group: cov(G) minus selected
+  std::vector<std::uint32_t> mark;       // per user: the last epoch stamped
+  std::uint32_t epoch = 0;               // candidates carry mark == epoch
+  std::vector<UserId> candidates;        // the candidates once narrowed
+  std::size_t candidate_links = 0;       // their summed groups_of size
+  std::vector<UserId> narrowed;          // buffer for Narrow()
+  std::vector<std::uint32_t> ranks;      // buffer for FinishFromAdjacency()
+  std::vector<RankHeap> heaps;           // buffer for FinishFromAdjacency()
+  std::uint64_t reads = 0;               // member and adjacency ids read
+
+  EbsState(const DiversificationInstance& instance,
+           std::span<const std::uint32_t> tie_rank_in)
+      : groups(instance.groups()),
+        weights(instance.weights()),
+        tie_rank(tie_rank_in),
+        group_at(groups.group_count()),
+        dead(groups.group_count()),
+        remaining(instance.coverage()),
+        mark(instance.repository().user_count(), 0) {
+    for (GroupId g = 0; g < group_at.size(); ++g) {
+      const std::uint32_t rank = weights.rank(g);
+      group_at[rank] = g;
+      dead[rank] = remaining[g] == 0;
+    }
+  }
+
+  /// Narrows the candidates, which `is_candidate` recognizes, to the
+  /// members of `g` and stamps them with the next epoch. Returns false,
+  /// changing nothing, when `g` holds no candidate.
+  template <typename IsCandidate>
+  bool Narrow(GroupId g, IsCandidate&& is_candidate) {
+    const auto members = groups.members(g);
+    reads += members.size();
+    // Branch-free filter: write every id, advance past the kept ones.
+    narrowed.resize(members.size());
+    std::size_t kept = 0;
+    for (UserId u : members) {
+      narrowed[kept] = u;
+      kept += is_candidate(u) ? 1 : 0;
+    }
+    if (kept == 0) return false;
+    narrowed.resize(kept);
+    candidate_links = 0;
+    for (UserId u : narrowed) {
+      mark[u] = epoch + 1;
+      candidate_links += groups.groups_of(u).size();
+    }
+    ++epoch;
+    candidates.swap(narrowed);
+    return true;
+  }
+
+  /// Among the candidates, which agree on every alive rank at or above
+  /// `bound`, the one whose descending alive ranks below `bound` are the
+  /// lexicographic maximum (a longer sequence wins a tied prefix), then
+  /// the smallest tie rank. Reads only the candidates' own adjacency: each
+  /// candidate's ranks form a max-heap, and every step keeps the
+  /// candidates whose next rank is the largest.
+  UserId FinishFromAdjacency(std::uint32_t bound) {
+    ranks.clear();
+    heaps.clear();
+    for (UserId u : candidates) {
+      const std::size_t begin = ranks.size();
+      if (bound > 0) {
+        const auto adjacent = groups.groups_of(u);
+        reads += adjacent.size();
+        for (GroupId g : adjacent) {
+          const std::uint32_t rank = weights.rank(g);
+          if (rank < bound && !dead[rank]) ranks.push_back(rank);
+        }
+        std::make_heap(ranks.begin() + static_cast<std::ptrdiff_t>(begin),
+                       ranks.end());
+      }
+      heaps.push_back({u, begin, ranks.size()});
+    }
+    while (heaps.size() > 1) {
+      std::int64_t next = -1;
+      for (const RankHeap& heap : heaps) {
+        if (heap.begin < heap.end) {
+          next = std::max<std::int64_t>(next, ranks[heap.begin]);
+        }
+      }
+      if (next < 0) break;  // every sequence ended: the rest tie
+      std::size_t kept = 0;
+      for (RankHeap heap : heaps) {
+        if (heap.begin == heap.end || ranks[heap.begin] != next) continue;
+        std::pop_heap(ranks.begin() + static_cast<std::ptrdiff_t>(heap.begin),
+                      ranks.begin() + static_cast<std::ptrdiff_t>(heap.end));
+        --heap.end;
+        heaps[kept++] = heap;
+      }
+      heaps.resize(kept);
+    }
+    return std::min_element(heaps.begin(), heaps.end(),
+                            [&](const RankHeap& a, const RankHeap& b) {
+                              return tie_rank[a.user] < tie_rank[b.user];
+                            })
+        ->user;
   }
 };
 
-bool EbsBetter(const EbsGain& a, const EbsGain& b) {
-  const std::size_t common = std::min(a.ranks.size(), b.ranks.size());
-  for (std::size_t i = 0; i < common; ++i) {
-    if (a.ranks[i] != b.ranks[i]) return a.ranks[i] > b.ranks[i];
-  }
-  return a.ranks.size() > b.ranks.size();
-}
-
+/// Algorithm 1 under EBS weights, wei(G) = (B+1)^ord(G). The ranks are
+/// distinct and the base is at least 2, so one alive group outweighs all
+/// alive groups of lower rank together: marginal gains order like the
+/// users' descending sequences of alive ranks, compared lexicographically
+/// with a longer sequence winning a tied prefix. Each round refines the
+/// alive pool to that maximum with no per-user state. It walks the alive
+/// groups from the highest rank down, and a group that holds some of the
+/// candidates narrows them to its members. Once the candidates' summed
+/// adjacency is smaller than the next alive group, it finishes from that
+/// adjacency instead (EbsState::FinishFromAdjacency). Ties left at the end
+/// go to the smaller tie rank. Dead groups never revive, so the walk's
+/// start only moves down; once every group is dead, every alive gain is
+/// zero and the rest of the pool follows in tie-rank order (`tail_users`).
 Selection RunEbsGreedy(const DiversificationInstance& instance,
-                       std::size_t budget, const std::vector<UserId>& pool,
-                       const std::vector<std::uint32_t>& tie_rank) {
+                       std::size_t budget, std::span<const UserId> pool,
+                       std::span<const std::uint32_t> tie_rank) {
   const GroupIndex& groups = instance.groups();
   const std::size_t num_users = instance.repository().user_count();
+  const std::size_t num_groups = groups.group_count();
 
   std::optional<obs::Span> phase;
   phase.emplace("greedy.init");
-  std::vector<EbsGain> gains(num_users);
-  std::vector<std::uint32_t> remaining = instance.coverage();
-  std::vector<std::uint8_t> group_dead(groups.group_count(), 0);
-  std::vector<std::uint8_t> in_pool(num_users, 0);
-  for (UserId u : pool) in_pool[u] = 1;
-  // Pool users are distinct (Select() dedupes), so chunks build disjoint
-  // rank sets.
-  util::ParallelFor(
-      pool.size(),
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const UserId u = pool[i];
-          auto& ranks = gains[u].ranks;
-          for (GroupId g : groups.groups_of(u)) {
-            ranks.push_back(instance.weights().rank(g));
-          }
-          std::sort(ranks.begin(), ranks.end(), std::greater<std::uint32_t>());
-        }
-      },
-      kPoolGrain);
+  EbsState state(instance, tie_rank);
+  std::vector<std::uint64_t> alive_words(
+      util::FixedBitset::WordsFor(num_users), 0);
+  util::FixedBitset alive(alive_words, num_users);
+  std::size_t alive_links = 0;  // summed groups_of size of the alive pool
+  for (UserId u : pool) {
+    alive.Set(u);
+    alive_links += groups.groups_of(u).size();
+  }
 
   phase.emplace("greedy.rounds");
   GreedyRunStats stats;
   Selection selection;
+  selection.users.reserve(std::min(budget, pool.size()));
   std::size_t pool_left = pool.size();
-  for (std::size_t round = 0; round < budget && pool_left > 0; ++round) {
-    UserId chosen = kInvalidUser;
-    for (UserId u : pool) {
-      if (!in_pool[u]) continue;
-      if (chosen == kInvalidUser || EbsBetter(gains[u], gains[chosen]) ||
-          (!EbsBetter(gains[chosen], gains[u]) &&
-           tie_rank[u] < tie_rank[chosen])) {
-        chosen = u;
-      }
+  std::size_t top = num_groups;  // every rank >= top is dead
+  while (selection.users.size() < budget && pool_left > 0) {
+    while (top > 0 && state.dead[top - 1]) --top;
+    if (top == 0) {
+      stats.tail_users = AppendZeroGainTail(
+          alive, tie_rank, budget - selection.users.size(), selection.users);
+      stats.rounds += stats.tail_users;
+      break;
     }
-    selection.users.push_back(chosen);
-    in_pool[chosen] = 0;
-    --pool_left;
-    for (GroupId g : groups.groups_of(chosen)) {
-      if (group_dead[g]) continue;
-      if (--remaining[g] > 0) continue;
-      group_dead[g] = 1;
-      ++stats.retired_groups;
-      const std::uint32_t rank = instance.weights().rank(g);
-      for (UserId member : groups.members(g)) {
-        if (in_pool[member]) {
-          gains[member].Remove(rank);
-          ++stats.retired_links;
-        }
+    // A round advances the epoch at most once per group: restart the
+    // stamps before it could wrap.
+    if (state.epoch > std::numeric_limits<std::uint32_t>::max() - num_groups) {
+      std::fill(state.mark.begin(), state.mark.end(), 0);
+      state.epoch = 0;
+    }
+
+    // Line 5: maxUser = argmax marg. The candidates are the alive pool
+    // until the first narrowing; they agree on every alive rank >= bound.
+    bool whole_pool = true;
+    std::size_t count = pool_left;
+    std::size_t links = alive_links;
+    std::size_t bound = top;
+    while (count > 1) {
+      while (bound > 0 && state.dead[bound - 1]) --bound;
+      if (bound == 0 ||
+          links < groups.group_size(state.group_at[bound - 1])) {
+        break;
       }
+      const GroupId g = state.group_at[--bound];
+      const bool narrowed =
+          whole_pool
+              ? state.Narrow(g, [&](UserId u) { return alive.Test(u); })
+              : state.Narrow(g, [&](UserId u) {
+                  return state.mark[u] == state.epoch;
+                });
+      if (!narrowed) continue;
+      whole_pool = false;
+      count = state.candidates.size();
+      links = state.candidate_links;
+    }
+    if (whole_pool) {
+      state.candidates.clear();
+      alive.ForEachSet([&](std::size_t u) {
+        state.candidates.push_back(static_cast<UserId>(u));
+      });
+    }
+    const UserId chosen =
+        count == 1 ? state.candidates.front()
+                   : state.FinishFromAdjacency(
+                         static_cast<std::uint32_t>(bound));
+
+    // Lines 6-10: move the user, decrement coverage, mark dead groups.
+    // The gains are the alive ranks themselves: nothing is charged back.
+    selection.users.push_back(chosen);
+    alive.Clear(chosen);
+    --pool_left;
+    const auto adjacent = groups.groups_of(chosen);
+    alive_links -= adjacent.size();
+    state.reads += adjacent.size();
+    for (GroupId g : adjacent) {
+      const std::uint32_t rank = state.weights.rank(g);
+      if (state.dead[rank] || --state.remaining[g] > 0) continue;
+      state.dead[rank] = 1;
+      ++stats.retired_groups;
     }
     ++stats.rounds;
   }
   stats.Publish(*phase);
+  // The refinement's own work. Published here rather than through
+  // GreedyRunStats, which RunScalarGreedy inlines: its argmax loop's code
+  // generation follows that inlined body (EXPERIMENTS.md, "Exact EBS by
+  // refinement").
+  phase->SetAttribute("ebs_reads", static_cast<double>(state.reads));
+  obs::MetricsRegistry::Global().counter("greedy.ebs_reads").Add(state.reads);
   phase.emplace("greedy.score");
   selection.score = TotalScore(instance, selection.users);
   return selection;
@@ -369,6 +517,7 @@ Result<Selection> GreedySelector::Select(
 
   // Tie-break ranks: position in tie_break_order, else a seeded random
   // permutation (the prototype's behaviour), else ascending id.
+  // Both argmax loops need a strict total order: the ranks must be distinct.
   std::vector<std::uint32_t> tie_rank(num_users);
   if (options_.tie_break_order.empty()) {
     for (UserId u = 0; u < num_users; ++u) tie_rank[u] = u;
@@ -381,13 +530,23 @@ Result<Selection> GreedySelector::Select(
       return Status::InvalidArgument(
           "tie_break_order must be a permutation of all users");
     }
+    std::vector<std::uint8_t> placed(num_users, 0);
     for (std::uint32_t pos = 0; pos < num_users; ++pos) {
       const UserId u = options_.tie_break_order[pos];
       if (u >= num_users) {
         return Status::OutOfRange("tie_break_order user id out of range");
       }
+      if (placed[u]) {
+        return Status::InvalidArgument(
+            "tie_break_order must be a permutation of all users");
+      }
+      placed[u] = 1;
       tie_rank[u] = pos;
     }
+  }
+  // Negated so that NaN fails too.
+  if (!(options_.weight_noise >= 0.0 && options_.weight_noise < 1.0)) {
+    return Status::InvalidArgument("weight_noise must be in [0, 1)");
   }
 
   if (instance.weight_kind() == WeightKind::kEbs) {
@@ -407,9 +566,6 @@ Result<Selection> GreedySelector::Select(
   // weights (TotalScore), only the greedy's preferences are perturbed.
   std::vector<double> weights(instance.weights().scalars());
   if (options_.weight_noise > 0.0) {
-    if (options_.weight_noise >= 1.0) {
-      return Status::InvalidArgument("weight_noise must be in [0, 1)");
-    }
     util::Rng noise_rng(options_.weight_noise_seed);
     for (double& weight : weights) {
       weight *= 1.0 + options_.weight_noise * noise_rng.NextDouble(-1.0, 1.0);

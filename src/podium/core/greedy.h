@@ -33,7 +33,8 @@ struct GreedyOptions {
   /// (the BASE-DIVERSITY problem). One entry per group when non-empty.
   std::vector<std::uint8_t> group_tiers;
 
-  /// Optional deterministic tie-break permutation: ties in marginal gain
+  /// Optional deterministic tie-break permutation of all users (a repeated
+  /// or missing user is InvalidArgument): ties in marginal gain
   /// are broken by preferring the user appearing earlier here. Empty means
   /// ties break by ascending user id. (The paper breaks ties arbitrarily;
   /// the prototype randomizes — pass a shuffled permutation to emulate, or
@@ -49,8 +50,9 @@ struct GreedyOptions {
   /// the paper proposes in its future work (Section 10): each group's
   /// weight is scaled by a factor uniform in [1 - w, 1 + w] drawn from
   /// `weight_noise_seed`. 0 disables. Different seeds yield different
-  /// near-optimal subsets, letting a client resample panels. Supported for
-  /// Iden/LBS weights (EBS ranks are ordinal, noise does not apply).
+  /// near-optimal subsets, letting a client resample panels. Must be in
+  /// [0, 1) under every weight kind; applied to Iden/LBS weights only (EBS
+  /// ranks are ordinal, noise does not apply).
   double weight_noise = 0.0;
   std::uint64_t weight_noise_seed = 0;
 };
@@ -87,9 +89,13 @@ std::vector<UserId> RunScalarGreedy(const GroupIndex& groups,
 /// a (1 - 1/e)-approximation of BASE-DIVERSITY (Prop. 4.4) — and of
 /// CUSTOM-DIVERSITY when tiers/pool are supplied (Prop. 6.5).
 ///
-/// EBS weights are handled exactly via lexicographic comparison of
-/// marginal rank-sets rather than floating-point exponentials; EBS is
-/// currently supported only for the base problem (no tiers).
+/// EBS weights are handled exactly, without floating-point exponentials:
+/// a marginal gain under (B+1)^ord(G) orders like the user's descending
+/// sequence of alive group ranks, so each round refines the alive pool to
+/// the lexicographic maximum, walking alive groups from the highest rank
+/// down and finishing from the last candidates' adjacency, with no
+/// per-user gain state (DESIGN.md §4). EBS is supported only for the base
+/// problem (no tiers).
 class GreedySelector : public Selector {
  public:
   explicit GreedySelector(GreedyOptions options = {})

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 namespace podium {
@@ -61,11 +62,19 @@ GroupWeighting GroupWeighting::ComputeFromSizes(
                        });
       weighting.rank_.resize(n);
       for (std::uint32_t r = 0; r < n; ++r) weighting.rank_[order[r]] = r;
-      // Approximate scalars for reporting; saturates to +inf quickly.
+      // Approximate scalars for reporting, in ascending rank. They saturate
+      // to +inf quickly, and every higher power of a base >= 2 is larger,
+      // so from the first +inf on the rest are +inf without a pow call.
       const long double base = static_cast<long double>(budget) + 1.0L;
-      for (GroupId g = 0; g < n; ++g) {
-        weighting.scalar_[g] = static_cast<double>(
-            std::pow(base, static_cast<long double>(weighting.rank_[g])));
+      std::uint32_t r = 0;
+      for (; r < n; ++r) {
+        const double scalar = static_cast<double>(
+            std::pow(base, static_cast<long double>(r)));
+        weighting.scalar_[order[r]] = scalar;
+        if (std::isinf(scalar)) break;
+      }
+      for (++r; r < n; ++r) {
+        weighting.scalar_[order[r]] = std::numeric_limits<double>::infinity();
       }
       break;
     }

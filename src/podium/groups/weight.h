@@ -25,11 +25,14 @@ Result<WeightKind> ParseWeightKind(std::string_view name);
 ///
 /// Iden and LBS produce plain scalars. EBS's (B+1)^ord(G) overflows any
 /// floating-point type for realistic group counts, so EBS keeps the exact
-/// rank ord(G) per group; the greedy selector compares EBS marginal
-/// contributions lexicographically over ranks (see core/greedy.h), which
+/// rank ord(G) per group; the greedy selector finds the EBS argmax by
+/// comparing alive ranks lexicographically (see core/greedy.h), which
 /// realizes exactly the ordering the exponential weights induce. The
-/// scalar() accessor still exposes an approximate long-double weight for
-/// reporting, which may saturate to +inf.
+/// scalar() accessor still exposes the long-double power rounded to
+/// double for reporting. It saturates to +inf within a few hundred ranks
+/// for B >= 4 (rank 171 at B=64, 442 at B=4); evaluation stops calling
+/// pow at the first +inf rank and fills the larger ranks with +inf, which
+/// is bit-identical because every higher power is larger.
 class GroupWeighting {
  public:
   /// `budget` is the B used by EBS's base (B+1); ignored by Iden/LBS.

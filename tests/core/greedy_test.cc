@@ -221,9 +221,56 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ZeroGainTailTest,
                          ::testing::Values(7, 8, 9, 10));
 
 // ---------------------------------------------------------------------------
-// EBS correctness: the tiered comparison must match explicit long-double
+// EBS correctness: the refinement argmax must match explicit long-double
 // exponential weights on instances small enough for those to be exact.
 // ---------------------------------------------------------------------------
+
+/// Greedy over explicit (B+1)^rank weights, scored from Def. 3.3 in long
+/// double: each round takes the largest gain among the untaken users of
+/// `pool`, ties to the smaller `tie_rank`.
+std::vector<UserId> ExponentialReference(
+    const DiversificationInstance& instance, std::vector<UserId> pool,
+    const std::vector<std::uint32_t>& tie_rank, std::size_t budget) {
+  const long double base =
+      static_cast<long double>(instance.budget()) + 1.0L;
+  auto score = [&](const std::vector<UserId>& subset) {
+    std::vector<std::uint32_t> count(instance.groups().group_count(), 0);
+    for (UserId v : subset) {
+      for (GroupId g : instance.groups().groups_of(v)) ++count[g];
+    }
+    long double total = 0.0L;
+    for (GroupId g = 0; g < count.size(); ++g) {
+      total += std::pow(base, static_cast<long double>(
+                                  instance.weights().rank(g))) *
+               std::min(count[g], instance.coverage(g));
+    }
+    return total;
+  };
+  // Scanning in tie order and keeping strict improvements breaks ties
+  // toward the smaller tie rank.
+  std::sort(pool.begin(), pool.end(),
+            [&](UserId a, UserId b) { return tie_rank[a] < tie_rank[b]; });
+  std::vector<UserId> reference;
+  std::vector<bool> chosen(instance.repository().user_count(), false);
+  while (reference.size() < budget) {
+    UserId best = kInvalidUser;
+    long double best_gain = -1.0L;
+    for (UserId u : pool) {
+      if (chosen[u]) continue;
+      std::vector<UserId> with = reference;
+      with.push_back(u);
+      const long double gain = score(with) - score(reference);
+      if (gain > best_gain) {
+        best_gain = gain;
+        best = u;
+      }
+    }
+    if (best == kInvalidUser) break;  // pool exhausted
+    reference.push_back(best);
+    chosen[best] = true;
+  }
+  return reference;
+}
 
 class EbsEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -231,49 +278,45 @@ TEST_P(EbsEquivalenceTest, TieredGreedyMatchesExplicitExponentialWeights) {
   util::Rng rng(GetParam());
   // Few groups so (B+1)^rank stays representable: 10 users, 3 properties.
   const ProfileRepository repo = RandomRepository(10, 3, 0.6, rng);
-  const DiversificationInstance instance =
-      RandomInstance(repo, WeightKind::kEbs, CoverageKind::kSingle, 3);
-
-  GreedySelector greedy;
-  Result<Selection> tiered = greedy.Select(instance, 3);
-  ASSERT_TRUE(tiered.ok());
-
-  // Reference: brute-force greedy over explicit scalar weights.
   const std::size_t n = repo.user_count();
-  std::vector<bool> chosen(n, false);
-  std::vector<UserId> reference;
-  for (int round = 0; round < 3; ++round) {
-    UserId best = kInvalidUser;
-    long double best_gain = -1.0L;
-    for (UserId u = 0; u < n; ++u) {
-      if (chosen[u]) continue;
-      std::vector<UserId> with = reference;
-      with.push_back(u);
-      // Long-double scores computed directly from Def. 3.3.
-      auto score = [&](const std::vector<UserId>& subset) {
-        std::vector<std::uint32_t> count(instance.groups().group_count(), 0);
-        for (UserId v : subset) {
-          for (GroupId g : instance.groups().groups_of(v)) ++count[g];
+  std::vector<UserId> everyone(n);
+  for (UserId u = 0; u < n; ++u) everyone[u] = u;
+  std::vector<UserId> half = everyone;
+  rng.Shuffle(half);
+  half.resize(n / 2);
+  std::vector<std::uint32_t> by_id(n);
+  for (UserId u = 0; u < n; ++u) by_id[u] = u;
+  // The permutation GreedyOptions::random_tie_seed documents.
+  const std::uint64_t tie_seed = GetParam() * 31 + 1;
+  std::vector<std::uint32_t> shuffled = by_id;
+  util::Rng(tie_seed).Shuffle(shuffled);
+
+  for (CoverageKind cov : {CoverageKind::kSingle, CoverageKind::kProp}) {
+    const DiversificationInstance instance =
+        RandomInstance(repo, WeightKind::kEbs, cov, 3);
+    for (const bool restricted : {false, true}) {
+      for (const bool random_ties : {false, true}) {
+        // The instance's budget; then more than the pool holds, which
+        // runs on after every gain is zero.
+        for (const std::size_t budget : {std::size_t{3}, n + 2}) {
+          GreedyOptions options;
+          if (restricted) options.candidate_pool = half;
+          if (random_ties) options.random_tie_seed = tie_seed;
+          Result<Selection> selection =
+              GreedySelector(options).Select(instance, budget);
+          ASSERT_TRUE(selection.ok()) << selection.status();
+          const std::vector<UserId> reference = ExponentialReference(
+              instance, restricted ? half : everyone,
+              random_ties ? shuffled : by_id, budget);
+          EXPECT_EQ(selection->users, reference)
+              << (cov == CoverageKind::kProp ? "Prop" : "Single")
+              << (restricted ? " restricted pool" : " full pool")
+              << (random_ties ? " random ties" : " id ties") << " budget "
+              << budget;
         }
-        long double total = 0.0L;
-        for (GroupId g = 0; g < count.size(); ++g) {
-          total += std::pow(4.0L,  // (B+1) with B=3
-                            static_cast<long double>(
-                                instance.weights().rank(g))) *
-                   std::min(count[g], instance.coverage(g));
-        }
-        return total;
-      };
-      const long double gain = score(with) - score(reference);
-      if (gain > best_gain) {
-        best_gain = gain;
-        best = u;
       }
     }
-    reference.push_back(best);
-    chosen[best] = true;
   }
-  EXPECT_EQ(tiered->users, reference);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EbsEquivalenceTest,
@@ -345,23 +388,37 @@ TEST(GreedyEdgeTest, TieBreakOrderIsRespected) {
 
 TEST(GreedyEdgeTest, InvalidOptionsAreRejected) {
   const ProfileRepository repo = testing::MakeTable2Repository();
-  Result<DiversificationInstance> instance =
-      DiversificationInstance::FromGroups(repo, testing::MakeTable2Groups(repo),
-                                          WeightKind::kLbs,
-                                          CoverageKind::kSingle, 2);
-  ASSERT_TRUE(instance.ok());
+  // Every weight kind validates the same options the same way.
+  for (WeightKind kind : {WeightKind::kLbs, WeightKind::kEbs}) {
+    SCOPED_TRACE(std::string(WeightKindName(kind)));
+    Result<DiversificationInstance> instance =
+        DiversificationInstance::FromGroups(
+            repo, testing::MakeTable2Groups(repo), kind,
+            CoverageKind::kSingle, 2);
+    ASSERT_TRUE(instance.ok());
 
-  GreedyOptions bad_tiers;
-  bad_tiers.group_tiers = {0, 1};  // wrong length
-  EXPECT_FALSE(GreedySelector(bad_tiers).Select(instance.value(), 2).ok());
+    GreedyOptions bad_tiers;
+    bad_tiers.group_tiers = {0, 1};  // wrong length
+    EXPECT_FALSE(GreedySelector(bad_tiers).Select(instance.value(), 2).ok());
 
-  GreedyOptions bad_pool;
-  bad_pool.candidate_pool = {999};
-  EXPECT_FALSE(GreedySelector(bad_pool).Select(instance.value(), 2).ok());
+    GreedyOptions bad_pool;
+    bad_pool.candidate_pool = {999};
+    EXPECT_FALSE(GreedySelector(bad_pool).Select(instance.value(), 2).ok());
 
-  GreedyOptions bad_order;
-  bad_order.tie_break_order = {0, 1};  // not a full permutation
-  EXPECT_FALSE(GreedySelector(bad_order).Select(instance.value(), 2).ok());
+    GreedyOptions bad_order;
+    bad_order.tie_break_order = {0, 1};  // not a full permutation
+    EXPECT_FALSE(GreedySelector(bad_order).Select(instance.value(), 2).ok());
+
+    // Right length, but user 4 repeats and user 0 is missing: two users
+    // would share a tie rank.
+    GreedyOptions duplicate_order;
+    duplicate_order.tie_break_order = {4, 4, 3, 2, 1};
+    EXPECT_EQ(GreedySelector(duplicate_order)
+                  .Select(instance.value(), 2)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(GreedyEdgeTest, PropCoverageRewardsRepeatedRepresentation) {

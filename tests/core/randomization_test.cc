@@ -1,7 +1,9 @@
 // Tests for the randomization extensions of Section 10: randomized
 // tie-breaking and multiplicative weight noise.
 
+#include <limits>
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -159,15 +161,27 @@ TEST(WeightNoiseTest, ScoreIsAlwaysReportedUnderTrueWeights) {
 
 TEST(WeightNoiseTest, RejectsInvalidNoise) {
   const ProfileRepository repo = testing::MakeTable2Repository();
-  Result<DiversificationInstance> instance =
-      DiversificationInstance::FromGroups(repo,
-                                          testing::MakeTable2Groups(repo),
-                                          WeightKind::kLbs,
-                                          CoverageKind::kSingle, 2);
-  ASSERT_TRUE(instance.ok());
-  GreedyOptions bad;
-  bad.weight_noise = 1.0;
-  EXPECT_FALSE(GreedySelector(bad).Select(instance.value(), 2).ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Noise must lie in [0, 1) under every weight kind; EBS ignores the
+  // noise but validates it all the same.
+  const std::pair<WeightKind, double> cases[] = {
+      {WeightKind::kLbs, 1.0},  {WeightKind::kLbs, -0.1},
+      {WeightKind::kLbs, nan},  {WeightKind::kEbs, 1.0},
+      {WeightKind::kEbs, 5.0},  {WeightKind::kEbs, -0.1},
+      {WeightKind::kEbs, nan},
+  };
+  for (const auto& [kind, noise] : cases) {
+    Result<DiversificationInstance> instance =
+        DiversificationInstance::FromGroups(repo,
+                                            testing::MakeTable2Groups(repo),
+                                            kind, CoverageKind::kSingle, 2);
+    ASSERT_TRUE(instance.ok());
+    GreedyOptions bad;
+    bad.weight_noise = noise;
+    EXPECT_EQ(GreedySelector(bad).Select(instance.value(), 2).status().code(),
+              StatusCode::kInvalidArgument)
+        << WeightKindName(kind) << " weight_noise " << noise;
+  }
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "podium/groups/coverage.h"
 #include "podium/groups/weight.h"
+#include "podium/util/rng.h"
 #include "tests/testing/table2.h"
 
 namespace podium {
@@ -50,6 +53,37 @@ TEST(WeightTest, EbsRanksArePermutationOrderedBySize) {
   // Scalar approximation is (B+1)^rank while it fits.
   for (GroupId g = 0; g < index.group_count(); ++g) {
     EXPECT_DOUBLE_EQ(w.scalar(g), std::pow(3.0, w.rank(g)));
+  }
+}
+
+// The EBS scalars stop calling pow at the first +inf rank; every value,
+// saturated or not, must still be the long-double power bit for bit.
+TEST(WeightTest, EbsScalarsAreTheLongDoublePowerBitForBit) {
+  util::Rng rng(2020);
+  std::vector<std::uint32_t> sizes(1500);
+  for (std::uint32_t& size : sizes) {
+    size = static_cast<std::uint32_t>(1 + rng.NextBounded(400));  // ties too
+  }
+  for (std::size_t budget : {0, 4, 64}) {
+    const GroupWeighting w =
+        GroupWeighting::ComputeFromSizes(sizes, WeightKind::kEbs, budget);
+    std::size_t saturated = 0;
+    for (GroupId g = 0; g < sizes.size(); ++g) {
+      const double expected = static_cast<double>(
+          std::pow(static_cast<long double>(budget) + 1.0L,
+                   static_cast<long double>(w.rank(g))));
+      const double actual = w.scalar(g);
+      EXPECT_EQ(std::memcmp(&actual, &expected, sizeof(double)), 0)
+          << "B=" << budget << " rank " << w.rank(g) << ": " << actual
+          << " vs " << expected;
+      saturated += std::isinf(actual) ? 1 : 0;
+    }
+    // B=0 never saturates; B=4 and B=64 do well before rank 1500.
+    if (budget == 0) {
+      EXPECT_EQ(saturated, 0u);
+    } else {
+      EXPECT_GT(saturated, sizes.size() / 2) << "B=" << budget;
+    }
   }
 }
 

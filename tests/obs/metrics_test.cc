@@ -211,6 +211,40 @@ TEST_F(TelemetryTest, GreedyRoundsSpanCarriesRunTotals) {
   EXPECT_EQ(SpanHistogram("greedy.rounds").Count(), 1u);
 }
 
+// An EBS run publishes the same totals plus the ids its refinement read;
+// it charges no gains back, so it retires no links.
+TEST_F(TelemetryTest, EbsRoundsSpanCarriesRunTotals) {
+  constexpr std::size_t kBudget = 3;
+  Result<DiversificationInstance> instance =
+      DiversificationInstance::FromGroups(
+          Table2Repo(), podium::testing::MakeTable2Groups(Table2Repo()),
+          WeightKind::kEbs, CoverageKind::kSingle, kBudget);
+  ASSERT_TRUE(instance.ok());
+  TraceContext trace(TraceId::Generate());
+  Selection selection;
+  {
+    TraceScope scope(&trace);
+    Result<Selection> selected =
+        GreedySelector().Select(instance.value(), kBudget);
+    ASSERT_TRUE(selected.ok());
+    selection = std::move(selected).value();
+  }
+  auto& registry = MetricsRegistry::Global();
+  EXPECT_EQ(Attribute(trace, "greedy.rounds", "rounds"),
+            static_cast<double>(selection.users.size()));
+  EXPECT_EQ(Attribute(trace, "greedy.rounds", "rounds"),
+            static_cast<double>(registry.counter("greedy.rounds").Value()));
+  EXPECT_EQ(
+      Attribute(trace, "greedy.rounds", "retired_groups"),
+      static_cast<double>(registry.counter("greedy.retired_groups").Value()));
+  EXPECT_GT(Attribute(trace, "greedy.rounds", "retired_groups"), 0.0);
+  EXPECT_EQ(Attribute(trace, "greedy.rounds", "ebs_reads"),
+            static_cast<double>(registry.counter("greedy.ebs_reads").Value()));
+  EXPECT_GT(Attribute(trace, "greedy.rounds", "ebs_reads"), 0.0);
+  EXPECT_EQ(Attribute(trace, "greedy.rounds", "retired_links"), 0.0);
+  EXPECT_EQ(registry.counter("greedy.retired_links").Value(), 0u);
+}
+
 // Selecting every user of Table 2 ends the run in the zero-gain tail: the
 // picks it appends count in `rounds` and in `tail_users`, and both match
 // the counters.

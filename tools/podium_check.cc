@@ -3,8 +3,9 @@
 // 1/2/8 threads, under forced-scalar and native SIMD kernels, and at
 // budget = user count, where runs end in the zero-gain tail), the
 // customized path, and the serve-layer SelectionService all agree byte
-// for byte — then fuzzes the JSON and HTTP parsers through their
-// production entry points. Under --shard-sweep the sharded engine must
+// for byte, and that EBS selections (full and restricted pools, random
+// tie order, and one served override) match the EBS oracle — then fuzzes
+// the JSON and HTTP parsers through their production entry points. Under --shard-sweep the sharded engine must
 // match the oracle as well: the single-snapshot oracle at K=1, and at K>1
 // the oracle run over the union of the oracle's round-1 pools.
 //

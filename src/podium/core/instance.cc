@@ -14,22 +14,12 @@ Result<DiversificationInstance> DiversificationInstance::Build(
 Result<DiversificationInstance> DiversificationInstance::FromGroups(
     const ProfileRepository& repository, GroupIndex groups,
     WeightKind weight_kind, CoverageKind coverage_kind, std::size_t budget) {
-  if (budget == 0) {
-    return Status::InvalidArgument("budget must be positive");
-  }
-  if (groups.user_count() != repository.user_count()) {
-    return Status::InvalidArgument(
-        "group index was built over a different population");
-  }
-  DiversificationInstance instance;
-  instance.repository_ = &repository;
-  instance.weights_ = GroupWeighting::Compute(groups, weight_kind, budget);
-  instance.coverage_kind_ = coverage_kind;
-  instance.coverage_ =
+  GroupWeighting weights = GroupWeighting::Compute(groups, weight_kind, budget);
+  std::vector<std::uint32_t> coverage =
       ComputeCoverage(groups, coverage_kind, budget, repository.user_count());
-  instance.groups_ = std::move(groups);
-  instance.budget_ = budget;
-  return instance;
+  return FromGroupsWithScoring(repository, std::move(groups),
+                               std::move(weights), coverage_kind,
+                               std::move(coverage), budget);
 }
 
 Result<DiversificationInstance> DiversificationInstance::FromGroupsWithScoring(

@@ -14,9 +14,25 @@ namespace podium {
 
 namespace {
 
-/// Grain for loops chunked over users: profile entry lists are short, so
-/// a chunk needs a few hundred users to amortize dispatch.
-constexpr std::size_t kUserGrain = 256;
+/// Slice users per candidate of `scheme`: every profile entry, in
+/// ascending user order, lands in its bucket's candidate, so each list is
+/// ascending.
+std::vector<std::vector<UserId>> AssignMembers(
+    const GroupScheme& scheme, const ProfileRepository& slice) {
+  std::vector<std::vector<UserId>> members(scheme.candidates.size());
+  for (UserId u = 0; u < slice.user_count(); ++u) {
+    for (const PropertyScore& entry : slice.user(u).entries()) {
+      const auto& buckets = scheme.buckets_per_property[entry.property];
+      if (buckets.empty()) continue;
+      const int b = bucketing::FindBucket(buckets, entry.score);
+      if (b < 0) continue;  // unreachable for valid partitions
+      const GroupId candidate =
+          scheme.candidate_of[entry.property][static_cast<std::size_t>(b)];
+      if (candidate != kInvalidGroup) members[candidate].push_back(u);
+    }
+  }
+  return members;
+}
 
 }  // namespace
 
@@ -95,9 +111,8 @@ Status GroupIndex::FinalizeAdjacency(
   return Status::Ok();
 }
 
-Result<GroupIndex> GroupIndex::Build(const ProfileRepository& repository,
+Result<GroupScheme> BuildGroupScheme(const ProfileRepository& repository,
                                      const GroupingOptions& options) {
-  obs::Span span("group_index.build");
   Result<std::unique_ptr<bucketing::Bucketizer>> bucketizer =
       bucketing::MakeBucketizer(options.bucket_method);
   if (!bucketizer.ok()) return bucketizer.status();
@@ -107,46 +122,14 @@ Result<GroupIndex> GroupIndex::Build(const ProfileRepository& repository,
 
   const PropertyTable& table = repository.properties();
   const std::size_t num_properties = table.size();
-  const std::size_t num_users = repository.user_count();
 
-  // Collect observed scores per property: chunked over users into
-  // per-chunk slices, then concatenated per property in chunk order —
-  // identical to the old single pass in ascending user order.
-  const util::ChunkPlan user_plan = util::PlanChunks(num_users, kUserGrain);
-  std::vector<std::vector<std::vector<double>>> chunk_scores(
-      user_plan.num_chunks);
-  util::ParallelFor(
-      num_users,
-      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-        auto& local = chunk_scores[chunk];
-        local.resize(num_properties);
-        for (UserId u = begin; u < end; ++u) {
-          for (const PropertyScore& entry : repository.user(u).entries()) {
-            local[entry.property].push_back(entry.score);
-          }
-        }
-      },
-      kUserGrain);
+  // Observed scores per property, in ascending user order.
   std::vector<std::vector<double>> scores(num_properties);
-  util::ParallelFor(
-      num_properties,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (PropertyId p = begin; p < end; ++p) {
-          std::size_t total = 0;
-          for (const auto& local : chunk_scores) total += local[p].size();
-          scores[p].reserve(total);
-          for (const auto& local : chunk_scores) {
-            scores[p].insert(scores[p].end(), local[p].begin(),
-                             local[p].end());
-          }
-        }
-      },
-      16);
-  chunk_scores.clear();
-  chunk_scores.shrink_to_fit();
-
-  GroupIndex index;
-  index.buckets_per_property_.resize(num_properties);
+  for (UserId u = 0; u < repository.user_count(); ++u) {
+    for (const PropertyScore& entry : repository.user(u).entries()) {
+      scores[entry.property].push_back(entry.score);
+    }
+  }
 
   auto passes_filter = [&options, &table](PropertyId p) {
     if (options.property_filters.empty()) return true;
@@ -158,9 +141,11 @@ Result<GroupIndex> GroupIndex::Build(const ProfileRepository& repository,
   };
 
   // Bucket the properties in parallel. Bucketizers are stateless (k-means
-  // seeding is fixed), so a per-chunk instance splits identically to the
-  // old shared one; errors land in per-property slots and the first one in
-  // property order is returned, matching the serial early-exit.
+  // seeding is fixed), so a per-chunk instance splits as a shared one
+  // would; errors land in per-property slots and the first one in
+  // property order is returned, matching a serial early exit.
+  GroupScheme scheme;
+  scheme.buckets_per_property.resize(num_properties);
   std::vector<Status> bucket_errors(num_properties);
   util::ParallelFor(
       num_properties,
@@ -170,7 +155,7 @@ Result<GroupIndex> GroupIndex::Build(const ProfileRepository& repository,
         for (PropertyId p = begin; p < end; ++p) {
           if (scores[p].empty() || !passes_filter(p)) continue;
           if (table.Kind(p) == PropertyKind::kBoolean) {
-            index.buckets_per_property_[p] = bucketing::FixedBooleanBuckets();
+            scheme.buckets_per_property[p] = bucketing::FixedBooleanBuckets();
             continue;
           }
           Result<std::vector<bucketing::Bucket>> split =
@@ -179,7 +164,7 @@ Result<GroupIndex> GroupIndex::Build(const ProfileRepository& repository,
             bucket_errors[p] = split.status();
             continue;
           }
-          index.buckets_per_property_[p] = std::move(split).value();
+          scheme.buckets_per_property[p] = std::move(split).value();
         }
       },
       4);
@@ -187,93 +172,95 @@ Result<GroupIndex> GroupIndex::Build(const ProfileRepository& repository,
     if (!bucket_errors[p].ok()) return bucket_errors[p];
   }
 
-  // Provisional group ids are assigned serially in (property, bucket)
-  // order; `slot_of[p][b]` is the id of property p's bucket-b group, or
-  // kInvalidGroup when the bucket was skipped.
-  std::vector<std::vector<GroupId>> slot_of(num_properties);
-  std::vector<GroupDef> provisional_defs;
+  // Number the candidates in (property, bucket) order.
+  scheme.candidate_of.resize(num_properties);
   for (PropertyId p = 0; p < num_properties; ++p) {
-    const auto& buckets = index.buckets_per_property_[p];
-    if (buckets.empty()) continue;
-    slot_of[p].assign(buckets.size(), kInvalidGroup);
+    const auto& buckets = scheme.buckets_per_property[p];
+    scheme.candidate_of[p].assign(buckets.size(), kInvalidGroup);
     for (std::size_t b = 0; b < buckets.size(); ++b) {
       if (!options.include_boolean_false_groups &&
           table.Kind(p) == PropertyKind::kBoolean &&
           buckets[b].label == "false") {
         continue;
       }
-      slot_of[p][b] = static_cast<GroupId>(provisional_defs.size());
-      provisional_defs.push_back(
+      scheme.candidate_of[p][b] =
+          static_cast<GroupId>(scheme.candidates.size());
+      scheme.candidates.push_back(
           GroupDef{p, buckets[b], MakeGroupLabel(table, p, buckets[b])});
     }
   }
+  scheme.min_group_size = std::max<std::size_t>(options.min_group_size, 1);
+  return scheme;
+}
 
-  // Assign every (user, property, score) entry to its bucket's group:
-  // chunked over users into per-chunk per-slot lists, then merged per slot
-  // in chunk order — ascending user id, as the old single pass produced.
-  const std::size_t num_slots = provisional_defs.size();
-  std::vector<std::vector<std::vector<UserId>>> chunk_members(
-      user_plan.num_chunks);
-  util::ParallelFor(
-      num_users,
-      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-        auto& local = chunk_members[chunk];
-        local.resize(num_slots);
-        for (UserId u = begin; u < end; ++u) {
-          for (const PropertyScore& entry : repository.user(u).entries()) {
-            const auto& buckets = index.buckets_per_property_[entry.property];
-            if (buckets.empty()) continue;
-            const int b = bucketing::FindBucket(buckets, entry.score);
-            if (b < 0) continue;  // unreachable for valid partitions
-            const GroupId slot =
-                slot_of[entry.property][static_cast<std::size_t>(b)];
-            if (slot == kInvalidGroup) continue;
-            local[slot].push_back(u);
-          }
-        }
-      },
-      kUserGrain);
-  std::vector<std::vector<UserId>> provisional_members(num_slots);
-  util::ParallelFor(
-      num_slots,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t slot = begin; slot < end; ++slot) {
-          std::size_t total = 0;
-          for (const auto& local : chunk_members) total += local[slot].size();
-          provisional_members[slot].reserve(total);
-          for (const auto& local : chunk_members) {
-            provisional_members[slot].insert(provisional_members[slot].end(),
-                                             local[slot].begin(),
-                                             local[slot].end());
-          }
-        }
-      },
-      16);
-  chunk_members.clear();
-  chunk_members.shrink_to_fit();
-
-  // Compact away empty / undersized groups and flatten both directions.
-  const std::size_t min_size = std::max<std::size_t>(options.min_group_size, 1);
-  std::vector<bool> keep(num_slots, false);
-  for (std::size_t slot = 0; slot < num_slots; ++slot) {
-    if (provisional_members[slot].size() < min_size) continue;
-    keep[slot] = true;
-    index.defs_.push_back(std::move(provisional_defs[slot]));
-  }
-  if (Status s = index.FinalizeAdjacency(provisional_members, keep, num_users);
-      !s.ok()) {
-    return s;
-  }
+Result<GroupIndex> GroupIndex::Build(const ProfileRepository& repository,
+                                     const GroupingOptions& options) {
+  obs::Span span("group_index.build");
+  Result<GroupScheme> scheme = BuildGroupScheme(repository, options);
+  if (!scheme.ok()) return scheme.status();
+  const ProfileRepository* const whole = &repository;
+  Result<std::vector<GroupIndex>> slices =
+      BuildSlices(scheme.value(), std::span(&whole, 1));
+  if (!slices.ok()) return slices.status();
+  GroupIndex index = std::move(slices.value().front());
+  index.buckets_per_property_ = std::move(scheme.value().buckets_per_property);
 
   auto& registry = obs::MetricsRegistry::Global();
   registry.counter("group_index.builds").Add();
   registry.counter("group_index.groups")
       .Add(static_cast<std::uint64_t>(index.defs_.size()));
   registry.counter("group_index.pruned_groups")
-      .Add(static_cast<std::uint64_t>(num_slots - index.defs_.size()));
+      .Add(static_cast<std::uint64_t>(scheme.value().candidates.size() -
+                                      index.defs_.size()));
   registry.counter("group_index.links")
       .Add(static_cast<std::uint64_t>(index.link_count()));
   return index;
+}
+
+Result<std::vector<GroupIndex>> GroupIndex::BuildSlices(
+    const GroupScheme& scheme,
+    std::span<const ProfileRepository* const> slices) {
+  const std::size_t k = slices.size();
+  std::vector<std::vector<std::vector<UserId>>> members(k);
+  util::ParallelFor(
+      k,
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        for (std::size_t s = begin; s < end; ++s) {
+          members[s] = AssignMembers(scheme, *slices[s]);
+        }
+      },
+      1);
+
+  // Prune once, on the candidates' sizes summed over the slices.
+  std::vector<bool> keep(scheme.candidates.size(), false);
+  std::vector<GroupDef> defs;
+  for (std::size_t c = 0; c < keep.size(); ++c) {
+    std::size_t size = 0;
+    for (const auto& slice_members : members) size += slice_members[c].size();
+    if (size < scheme.min_group_size) continue;
+    keep[c] = true;
+    defs.push_back(scheme.candidates[c]);
+  }
+
+  // Every slice gets the kept definitions; the last one takes them.
+  std::vector<GroupIndex> indexes(k);
+  for (std::size_t s = 0; s + 1 < k; ++s) indexes[s].defs_ = defs;
+  if (k > 0) indexes[k - 1].defs_ = std::move(defs);
+  std::vector<Status> errors(k);
+  util::ParallelFor(
+      k,
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        for (std::size_t s = begin; s < end; ++s) {
+          errors[s] = indexes[s].FinalizeAdjacency(members[s], keep,
+                                                   slices[s]->user_count());
+          members[s] = {};
+        }
+      },
+      1);
+  for (const Status& status : errors) {
+    if (!status.ok()) return status;
+  }
+  return indexes;
 }
 
 Result<GroupIndex> GroupIndex::FromDefs(const ProfileRepository& repository,

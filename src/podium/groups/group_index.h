@@ -47,11 +47,37 @@ struct GroupingOptions {
 
 /// Group label per Section 5: "<bucket label> <property label>" for score
 /// properties; boolean "true" groups read as just the property label
-/// ("lives in Tokyo"), "false" groups as "not <property label>". Shared
-/// by GroupIndex::Build and the sharded GroupScheme so the two paths
-/// cannot drift.
+/// ("lives in Tokyo"), "false" groups as "not <property label>".
+/// BuildGroupScheme labels every candidate group with it, so an unsharded
+/// index and every shard's slice carry the same labels.
 std::string MakeGroupLabel(const PropertyTable& table, PropertyId property,
                            const bucketing::Bucket& bucket);
+
+/// The candidate simple groups of a repository, before pruning: β(p) per
+/// property and one candidate G_{p,b} per bucket (Def. 3.4), numbered in
+/// (property, bucket) order. It holds no members, so its memory is
+/// O(candidates). GroupIndex::BuildSlices assigns users to the candidates
+/// and prunes the undersized ones.
+struct GroupScheme {
+  /// β(p), indexed by PropertyId; empty for properties that are unobserved
+  /// or filtered out.
+  std::vector<std::vector<bucketing::Bucket>> buckets_per_property;
+  /// candidate_of[p][b] is the candidate id of property p's bucket b, or
+  /// kInvalidGroup for a boolean "false" bucket left out of 𝒢.
+  std::vector<std::vector<GroupId>> candidate_of;
+  /// Candidate definitions, indexed by candidate id.
+  std::vector<GroupDef> candidates;
+  /// Candidates with fewer members than this over the whole population are
+  /// pruned; at least 1, so empty groups never survive.
+  std::size_t min_group_size = 1;
+};
+
+/// Collects every property's observed scores in ascending user order,
+/// buckets them and numbers the candidate groups. This is the one
+/// derivation of 𝒢's definitions: GroupIndex::Build and the sharded
+/// engine both start from it.
+Result<GroupScheme> BuildGroupScheme(const ProfileRepository& repository,
+                                     const GroupingOptions& options = {});
 
 /// The set of simple groups 𝒢 over a repository plus the bidirectional
 /// user ↔ group adjacency that Algorithm 1's data-structure section calls
@@ -79,10 +105,24 @@ class GroupIndex {
   GroupIndex() = default;
 
   /// Buckets every property of `repository` and materializes the simple
-  /// groups. The repository must outlive the index (member lists refer to
-  /// its user ids, not its storage).
+  /// groups: BuildGroupScheme, then BuildSlices over the one slice that is
+  /// the whole repository. The repository must outlive the index (member
+  /// lists refer to its user ids, not its storage).
   static Result<GroupIndex> Build(const ProfileRepository& repository,
                                   const GroupingOptions& options = {});
+
+  /// Materializes `scheme`'s groups over a population cut into slices
+  /// (sub-repositories under the scheme's PropertyTable, with dense local
+  /// user ids). Each slice's profile entries are assigned to their
+  /// candidates in ascending user order. A candidate is kept when its
+  /// summed size over all slices reaches scheme.min_group_size, and a kept
+  /// group stays in EVERY slice, empty there or not, so the returned
+  /// indexes (one per slice) share one group-id space. The sharded engine
+  /// passes its shard sub-repositories. buckets_per_property() is left
+  /// empty.
+  static Result<std::vector<GroupIndex>> BuildSlices(
+      const GroupScheme& scheme,
+      std::span<const ProfileRepository* const> slices);
 
   /// Builds an index from explicit group definitions (used for manually
   /// crafted groups, as surveyors define them).
@@ -92,10 +132,10 @@ class GroupIndex {
   /// Builds an index from explicit definitions plus precomputed member
   /// lists (members[d] are the users of defs[d], strictly ascending by
   /// user id). Unlike Build()/FromDefs(), EVERY definition is kept —
-  /// including empty ones — so callers can impose a shared group-id
-  /// space across several indexes: the sharded engine builds one index
-  /// per shard over the GLOBAL GroupScheme, where a locally-empty group
-  /// simply contributes nothing. buckets_per_property() is left empty.
+  /// including empty ones — so group ids are the positions of the
+  /// caller's definitions: the sharded merge round builds its
+  /// candidate-local index this way, one definition per global group id.
+  /// buckets_per_property() is left empty.
   static Result<GroupIndex> FromMembership(
       std::vector<GroupDef> defs,
       const std::vector<std::vector<UserId>>& members, std::size_t num_users);

@@ -76,7 +76,25 @@ SelectionService::SelectionService(std::shared_ptr<const Snapshot> snapshot,
       cache_(options_.cache_entries) {}
 
 void SelectionService::SwapSnapshot(std::shared_ptr<const Snapshot> snapshot) {
+  util::MutexLock lock(reload_mutex_);
   holder_.Swap(std::move(snapshot));
+}
+
+Result<std::uint64_t> SelectionService::Reload(
+    const std::function<Result<ProfileRepository>()>& load) {
+  util::MutexLock lock(reload_mutex_);
+  const std::shared_ptr<const Snapshot> current = holder_.Current();
+  if (current == nullptr) {
+    return Status::FailedPrecondition("no snapshot to reload");
+  }
+  Result<ProfileRepository> repository = load();
+  if (!repository.ok()) return repository.status();
+  const std::uint64_t generation = current->generation() + 1;
+  Result<std::shared_ptr<const Snapshot>> rebuilt = Snapshot::Build(
+      std::move(repository).value(), current->options(), generation);
+  if (!rebuilt.ok()) return rebuilt.status();
+  holder_.Swap(std::move(rebuilt).value());
+  return generation;
 }
 
 Status SelectionService::Admit(std::int64_t deadline_ms) {

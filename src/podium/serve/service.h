@@ -74,7 +74,18 @@ class SelectionService {
   /// Atomically installs a new snapshot; in-flight requests finish on the
   /// snapshot they started with, later requests (and cache keys) use the
   /// new generation.
-  void SwapSnapshot(std::shared_ptr<const Snapshot> snapshot);
+  void SwapSnapshot(std::shared_ptr<const Snapshot> snapshot)
+      PODIUM_EXCLUDES(reload_mutex_);
+
+  /// Rebuilds the snapshot over the profiles `load` returns, with the
+  /// current snapshot's options, and swaps it in as generation current + 1,
+  /// which it returns. Reloads are serialized: each holds reload_mutex_
+  /// from the load through Snapshot::Build to the swap, so no two share a
+  /// generation and the served generation never moves backwards. On error
+  /// the current snapshot stays.
+  [[nodiscard]] Result<std::uint64_t> Reload(
+      const std::function<Result<ProfileRepository>()>& load)
+      PODIUM_EXCLUDES(reload_mutex_);
 
   std::shared_ptr<const Snapshot> snapshot() const { return holder_.Current(); }
   const ServiceOptions& options() const { return options_; }
@@ -114,6 +125,9 @@ class SelectionService {
   SnapshotHolder holder_;
   ResultCache cache_;
   SingleFlight single_flight_;
+
+  // Serializes reloads and swaps; readers load holder_ without it.
+  util::Mutex reload_mutex_{"serve.service.reload"};
 
   util::Mutex mutex_{"serve.service.admission"};
   util::CondVar slot_free_;

@@ -1,50 +1,14 @@
 #ifndef PODIUM_SHARD_SCHEME_H_
 #define PODIUM_SHARD_SCHEME_H_
 
-#include <cstddef>
-#include <cstdint>
-#include <vector>
-
-#include "podium/bucketing/bucketizer.h"
 #include "podium/groups/group_index.h"
-#include "podium/profile/repository.h"
-#include "podium/util/result.h"
 
 namespace podium::shard {
 
-/// The GLOBAL group structure of a repository — definitions, bucket
-/// boundaries, (property, bucket) → group-id mapping, and global group
-/// sizes — WITHOUT the global CSR adjacency. This is what every shard
-/// shares: each shard materializes only its local slice of the adjacency
-/// against this scheme's group-id space, so the 2^32-links-per-arena CSR
-/// ceiling applies per shard instead of to the whole population.
-///
-/// BuildGroupScheme mirrors GroupIndex::Build phase for phase (collect →
-/// bucketize → provisional ids → count → prune) minus member-list
-/// materialization, so defs_, ordering, and pruning are identical to what
-/// the single-snapshot engine derives; podium_check's K=1 byte-identity
-/// sweep guards the mirror against drift.
-struct GroupScheme {
-  /// Group definitions in global id order (== GroupIndex::Build's order).
-  std::vector<GroupDef> defs;
-  /// |G| over the whole repository, per global group id.
-  std::vector<std::uint32_t> global_sizes;
-  /// β(p) per property (empty for unbucketed properties).
-  std::vector<std::vector<bucketing::Bucket>> buckets_per_property;
-  /// group_of_bucket[p][b] = global group id of property p's bucket-b
-  /// group, or kInvalidGroup when the bucket produced no (kept) group.
-  /// Outer vector indexed by PropertyId; inner empty when unbucketed.
-  std::vector<std::vector<GroupId>> group_of_bucket;
-  /// |𝒰| the scheme was computed over.
-  std::size_t population = 0;
-
-  std::size_t group_count() const { return defs.size(); }
-};
-
-/// Computes the global scheme for `repository` under `options`. Memory is
-/// O(groups + per-property scores), never O(links).
-Result<GroupScheme> BuildGroupScheme(const ProfileRepository& repository,
-                                     const GroupingOptions& options = {});
+/// The group derivation lives in groups/group_index.h; the sharded engine
+/// slices it with GroupIndex::BuildSlices. This name stays for callers
+/// that still spell it under shard::.
+using podium::BuildGroupScheme;
 
 }  // namespace podium::shard
 

@@ -11,56 +11,20 @@ namespace podium::shard {
 
 namespace {
 
-/// Builds one shard in place: sub-repository, local CSR over the global
-/// group-id space, and the local instance carrying the GLOBAL scoring.
-Status BuildShard(const ProfileRepository& repository,
-                  const GroupScheme& scheme, const GroupWeighting& weights,
-                  const std::vector<std::uint32_t>& coverage,
-                  CoverageKind coverage_kind, std::size_t budget,
-                  std::vector<UserId> users, ShardSnapshot* out) {
+/// Fills a shard's sub-repository with `users`: the SAME PropertyTable
+/// (ids must line up with the scheme's), local ids the positions in the
+/// ascending global list.
+Status BuildSubRepository(const ProfileRepository& repository,
+                          std::vector<UserId> users, ShardSnapshot* out) {
   out->global_ids = std::move(users);
-  const std::size_t n_local = out->global_ids.size();
-
-  // Sub-repository under the SAME PropertyTable (ids must line up with
-  // the scheme's); local ids are positions in the ascending global list.
   out->repository.properties() = repository.properties();
-  for (UserId local = 0; local < n_local; ++local) {
-    const UserProfile& source = repository.user(out->global_ids[local]);
+  for (const UserId global : out->global_ids) {
+    const UserProfile& source = repository.user(global);
     Result<UserId> added = out->repository.AddUser(source.name());
     if (!added.ok()) return added.status();
     out->repository.mutable_user(added.value())
         .ReplaceEntries(source.entries());
   }
-
-  // Local member lists per GLOBAL group id — the same entry → bucket →
-  // group assignment GroupIndex::Build performs, restricted to this
-  // shard's users. Locally-empty groups stay (FromMembership keeps them),
-  // preserving the shared id space.
-  std::vector<std::vector<UserId>> members(scheme.group_count());
-  for (UserId local = 0; local < n_local; ++local) {
-    for (const PropertyScore& entry :
-         out->repository.user(local).entries()) {
-      const auto& buckets = scheme.buckets_per_property[entry.property];
-      if (buckets.empty()) continue;
-      const int b = bucketing::FindBucket(buckets, entry.score);
-      if (b < 0) continue;
-      const GroupId g =
-          scheme.group_of_bucket[entry.property][static_cast<std::size_t>(b)];
-      if (g == kInvalidGroup) continue;
-      members[g].push_back(local);
-    }
-  }
-
-  Result<GroupIndex> index =
-      GroupIndex::FromMembership(scheme.defs, members, n_local);
-  if (!index.ok()) return index.status();
-
-  Result<DiversificationInstance> instance =
-      DiversificationInstance::FromGroupsWithScoring(
-          out->repository, std::move(index).value(), weights, coverage_kind,
-          coverage, budget);
-  if (!instance.ok()) return instance.status();
-  out->instance = std::move(instance).value();
   return Status::Ok();
 }
 
@@ -85,8 +49,10 @@ Result<std::shared_ptr<const ShardedSnapshot>> ShardedSnapshot::Build(
         "round (use Iden or LBS)");
   }
 
-  Result<GroupScheme> scheme =
-      BuildGroupScheme(repository, instance.grouping);
+  Result<GroupScheme> scheme = [&] {
+    obs::Span scheme_span("shard.scheme");
+    return BuildGroupScheme(repository, instance.grouping);
+  }();
   if (!scheme.ok()) return scheme.status();
 
   Result<PartitionPlan> plan = Partitioner::Partition(repository, options);
@@ -94,16 +60,10 @@ Result<std::shared_ptr<const ShardedSnapshot>> ShardedSnapshot::Build(
 
   auto snapshot = std::shared_ptr<ShardedSnapshot>(
       new ShardedSnapshot());  // podium-lint: allow(raw-new)
-  snapshot->scheme_ = std::move(scheme).value();
   snapshot->options_ = options;
   snapshot->instance_options_ = instance;
   snapshot->user_count_ = repository.user_count();
   snapshot->generation_ = generation;
-  snapshot->weights_ = GroupWeighting::ComputeFromSizes(
-      snapshot->scheme_.global_sizes, instance.weight_kind, instance.budget);
-  snapshot->coverage_ =
-      ComputeCoverage(snapshot->scheme_.global_sizes, instance.coverage_kind,
-                      instance.budget, repository.user_count());
 
   const std::size_t k = options.num_shards;
   snapshot->shards_.reserve(k);
@@ -116,15 +76,45 @@ Result<std::shared_ptr<const ShardedSnapshot>> ShardedSnapshot::Build(
       k,
       [&](std::size_t begin, std::size_t end, std::size_t) {
         for (std::size_t s = begin; s < end; ++s) {
-          errors[s] = BuildShard(
-              repository, snapshot->scheme_, snapshot->weights_,
-              snapshot->coverage_, instance.coverage_kind, instance.budget,
-              std::move(users.users[s]), snapshot->shards_[s].get());
+          errors[s] = BuildSubRepository(repository, std::move(users.users[s]),
+                                         snapshot->shards_[s].get());
         }
       },
       1);
   for (const Status& status : errors) {
     if (!status.ok()) return status;
+  }
+
+  // One index per shard over the global group-id space; a group's global
+  // |G| is the sum of its shards' sizes, and every shard scores against
+  // the global weights and coverage.
+  std::vector<const ProfileRepository*> slices;
+  for (const auto& shard : snapshot->shards_) {
+    slices.push_back(&shard->repository);
+  }
+  Result<std::vector<GroupIndex>> indexes =
+      GroupIndex::BuildSlices(scheme.value(), slices);
+  if (!indexes.ok()) return indexes.status();
+  std::vector<std::uint32_t> sizes(indexes->front().group_count(), 0);
+  for (const GroupIndex& index : indexes.value()) {
+    for (GroupId g = 0; g < sizes.size(); ++g) {
+      sizes[g] += static_cast<std::uint32_t>(index.group_size(g));
+    }
+  }
+  snapshot->weights_ = GroupWeighting::ComputeFromSizes(
+      sizes, instance.weight_kind, instance.budget);
+  snapshot->coverage_ =
+      ComputeCoverage(sizes, instance.coverage_kind, instance.budget,
+                      repository.user_count());
+  for (std::size_t s = 0; s < k; ++s) {
+    ShardSnapshot& shard = *snapshot->shards_[s];
+    Result<DiversificationInstance> built =
+        DiversificationInstance::FromGroupsWithScoring(
+            shard.repository, std::move(indexes.value()[s]),
+            snapshot->weights_, instance.coverage_kind, snapshot->coverage_,
+            instance.budget);
+    if (!built.ok()) return built.status();
+    shard.instance = std::move(built).value();
   }
 
   auto& registry = obs::MetricsRegistry::Global();

@@ -10,7 +10,6 @@
 #include "podium/core/instance.h"
 #include "podium/profile/repository.h"
 #include "podium/shard/partitioner.h"
-#include "podium/shard/scheme.h"
 #include "podium/util/result.h"
 
 namespace podium::shard {
@@ -32,28 +31,28 @@ struct ShardSnapshot {
   std::size_t MemoryBytes() const;
 };
 
-/// A sharded, immutable view of a repository: the global GroupScheme, the
-/// partition plan, and K independently arena-backed ShardSnapshots built
-/// in parallel on the global thread pool. Plugs into serve::Snapshot
-/// behind the same atomic-generation swap as the single-snapshot engine.
+/// A sharded, immutable view of a repository: K independently
+/// arena-backed ShardSnapshots, each holding one slice of the global groups
+/// (GroupIndex::BuildSlices), built on the global thread pool. Plugs into
+/// serve::Snapshot behind the same atomic-generation swap as the
+/// single-snapshot engine.
 class ShardedSnapshot {
  public:
-  /// Builds scheme + partition + K shards. EBS weights are rejected
-  /// (their rank-lexicographic scoring does not decompose across a merge
-  /// round); Iden/LBS are exact. The input repository is only read — the
-  /// shards hold independent sub-repositories.
+  /// Builds the group scheme, the partition and the K shards. EBS weights
+  /// are rejected (their rank-lexicographic scoring does not decompose
+  /// across a merge round); Iden/LBS are exact. The input repository is
+  /// only read — the shards hold independent sub-repositories.
   static Result<std::shared_ptr<const ShardedSnapshot>> Build(
       const ProfileRepository& repository, const InstanceOptions& instance,
       const ShardOptions& options, std::uint64_t generation = 1);
 
   std::size_t shard_count() const { return shards_.size(); }
   const ShardSnapshot& shard(std::size_t s) const { return *shards_[s]; }
-  const GroupScheme& scheme() const { return scheme_; }
   const ShardOptions& options() const { return options_; }
   std::uint64_t generation() const { return generation_; }
 
   std::size_t user_count() const { return user_count_; }
-  std::size_t group_count() const { return scheme_.group_count(); }
+  std::size_t group_count() const { return coverage_.size(); }
   WeightKind weight_kind() const { return instance_options_.weight_kind; }
   CoverageKind coverage_kind() const {
     return instance_options_.coverage_kind;
@@ -83,7 +82,6 @@ class ShardedSnapshot {
  private:
   ShardedSnapshot() = default;
 
-  GroupScheme scheme_;
   ShardOptions options_;
   InstanceOptions instance_options_;
   GroupWeighting weights_;

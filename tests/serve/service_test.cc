@@ -2,6 +2,7 @@
 
 #include "podium/util/mutex.h"
 #include "podium/util/thread_annotations.h"
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -163,6 +164,52 @@ TEST_F(SelectionServiceTest, SwapSnapshotBumpsGenerationAndBypassesOldCache) {
   EXPECT_EQ(reply->snapshot_generation, 2u);
   const json::Value body = ParseBody(reply->body);
   EXPECT_EQ(body.AsObject().Find("snapshot_generation")->AsNumber(), 2.0);
+}
+
+// Reloads racing from 4 threads each get their own generation, and the
+// last one installed is the highest. Each load sleeps, so unserialized
+// reloads would all read generation 1 and install 2.
+TEST_F(SelectionServiceTest, ConcurrentReloadsGetDistinctGenerations) {
+  SelectionService service(BuildTable2Snapshot(1), ServiceOptions{});
+  const SnapshotOptions options = service.snapshot()->options();
+  constexpr int kThreads = 4;
+  std::vector<std::uint64_t> generations(kThreads, 0);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&service, &generations, t] {
+      Result<std::uint64_t> generation =
+          service.Reload([]() -> Result<ProfileRepository> {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            return podium::testing::MakeTable2Repository();
+          });
+      ASSERT_TRUE(generation.ok()) << generation.status();
+      generations[t] = generation.value();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  std::sort(generations.begin(), generations.end());
+  EXPECT_EQ(generations, (std::vector<std::uint64_t>{2, 3, 4, 5}));
+  EXPECT_EQ(service.snapshot()->generation(), 5u);
+  // The rebuilt snapshot keeps the options it replaced.
+  EXPECT_EQ(service.snapshot()->options().instance.budget,
+            options.instance.budget);
+
+  // A failed load leaves the current snapshot in place.
+  Result<std::uint64_t> failed = service.Reload(
+      []() -> Result<ProfileRepository> {
+        return Status::NotFound("no profiles");
+      });
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(service.snapshot()->generation(), 5u);
+
+  // Without a snapshot there are no options to rebuild with.
+  SelectionService empty(nullptr, ServiceOptions{});
+  EXPECT_EQ(empty.Reload(podium::testing::MakeTable2Repository)
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
 }
 
 /// Holds the admission slot of a concurrency-1 service open until

@@ -1,10 +1,10 @@
 // Unit tests for podium::shard: the partitioner (determinism, coverage,
-// strategy parsing), the global GroupScheme vs the single-snapshot
-// GroupIndex, GroupIndex::FromMembership, the sharded snapshot's
-// accessors, and the two-round selector's contracts — K=1 byte-identity
-// with the unsharded greedy, exact rescoring, the approximation bound,
-// thread invariance, and the serve integration. The randomized
-// cross-check at scale lives in podium_check --shard-sweep.
+// strategy parsing), the shards' slices of the global groups vs the
+// single-snapshot GroupIndex, GroupIndex::FromMembership, the sharded
+// snapshot's accessors, and the two-round selector's contracts — K=1
+// byte-identity with the unsharded greedy, exact rescoring, the
+// approximation bound, thread invariance, and the serve integration. The
+// randomized cross-check at scale lives in podium_check --shard-sweep.
 
 #include <algorithm>
 #include <cmath>
@@ -22,7 +22,6 @@
 #include "podium/serve/service.h"
 #include "podium/serve/snapshot.h"
 #include "podium/shard/partitioner.h"
-#include "podium/shard/scheme.h"
 #include "podium/shard/sharded_selector.h"
 #include "podium/shard/sharded_snapshot.h"
 #include "podium/util/thread_pool.h"
@@ -30,11 +29,12 @@
 namespace podium::shard {
 namespace {
 
-datagen::Dataset MakeDataset(std::size_t users, std::uint64_t seed = 11) {
+datagen::Dataset MakeDataset(std::size_t users, std::uint64_t seed = 11,
+                             std::size_t leaf_categories = 8) {
   datagen::DatasetConfig config;
   config.num_users = users;
   config.num_restaurants = 60;
-  config.leaf_categories = 8;
+  config.leaf_categories = leaf_categories;
   config.num_cities = 4;
   config.min_reviews_per_user = 2;
   config.max_reviews_per_user = 8;
@@ -118,17 +118,82 @@ TEST(PartitionerTest, StrategyNamesRoundTrip) {
 
 TEST(GroupSchemeTest, MatchesUnshardedGroupIndex) {
   const datagen::Dataset data = MakeDataset(200);
-  GroupingOptions options;
-  Result<GroupScheme> scheme = BuildGroupScheme(data.repository, options);
-  ASSERT_TRUE(scheme.ok()) << scheme.status().ToString();
-  Result<GroupIndex> index = GroupIndex::Build(data.repository, options);
+  const InstanceOptions options;
+  Result<GroupIndex> index = GroupIndex::Build(data.repository,
+                                               options.grouping);
   ASSERT_TRUE(index.ok());
-  ASSERT_EQ(scheme->group_count(), index->group_count());
+  ShardOptions shard_options;
+  shard_options.num_shards = 3;
+  Result<std::shared_ptr<const ShardedSnapshot>> snapshot =
+      ShardedSnapshot::Build(data.repository, options, shard_options);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  const ShardedSnapshot& sharded = *snapshot.value();
+  ASSERT_EQ(sharded.group_count(), index->group_count());
   for (GroupId g = 0; g < index->group_count(); ++g) {
-    EXPECT_EQ(scheme->defs[g].label, index->label(g)) << g;
-    EXPECT_EQ(scheme->global_sizes[g], index->group_size(g)) << g;
+    std::size_t global_size = 0;
+    for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
+      const GroupIndex& local = sharded.shard(s).instance.groups();
+      EXPECT_EQ(local.label(g), index->label(g)) << g;
+      global_size += local.group_size(g);
+    }
+    EXPECT_EQ(global_size, index->group_size(g)) << g;
   }
-  EXPECT_EQ(scheme->population, data.repository.user_count());
+  EXPECT_EQ(sharded.user_count(), data.repository.user_count());
+}
+
+// Each shard's index is the unsharded index restricted to the shard's
+// users, in the global group-id space. With 60 leaf categories the rarest
+// have only a few raters, so min_group_size 3 prunes candidates of global
+// size 1-2 that are still non-empty in some shard.
+TEST(GroupSchemeTest, ShardSlicesAreTheUnshardedIndexRestricted) {
+  const datagen::Dataset data = MakeDataset(240, 11, 60);
+  for (const std::size_t min_group_size : {std::size_t{1}, std::size_t{3}}) {
+    InstanceOptions options;
+    options.grouping.min_group_size = min_group_size;
+    Result<GroupIndex> index =
+        GroupIndex::Build(data.repository, options.grouping);
+    ASSERT_TRUE(index.ok());
+    if (min_group_size == 1) {
+      bool has_small_group = false;
+      for (GroupId g = 0; g < index->group_count(); ++g) {
+        has_small_group = has_small_group || index->group_size(g) < 3;
+      }
+      ASSERT_TRUE(has_small_group) << "min_group_size 3 would prune nothing";
+    }
+    for (const std::size_t k : {std::size_t{2}, std::size_t{4}}) {
+      for (const PartitionStrategy strategy :
+           {PartitionStrategy::kHashUsers, PartitionStrategy::kGroupAffine}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "min_group_size " << min_group_size << ", K " << k
+                     << ", " << PartitionStrategyName(strategy));
+        ShardOptions shard_options;
+        shard_options.num_shards = k;
+        shard_options.strategy = strategy;
+        Result<std::shared_ptr<const ShardedSnapshot>> snapshot =
+            ShardedSnapshot::Build(data.repository, options, shard_options);
+        ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+        for (std::size_t s = 0; s < k; ++s) {
+          const ShardSnapshot& shard = snapshot.value()->shard(s);
+          const GroupIndex& local = shard.instance.groups();
+          ASSERT_EQ(local.group_count(), index->group_count()) << s;
+          for (GroupId g = 0; g < index->group_count(); ++g) {
+            std::vector<UserId> mapped;
+            for (UserId u : local.members(g)) {
+              mapped.push_back(shard.global_ids[u]);
+            }
+            std::vector<UserId> expected;
+            for (UserId u : index->members(g)) {
+              if (std::binary_search(shard.global_ids.begin(),
+                                     shard.global_ids.end(), u)) {
+                expected.push_back(u);
+              }
+            }
+            EXPECT_EQ(mapped, expected) << "shard " << s << ", group " << g;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(GroupIndexTest, FromMembershipKeepsEmptyGroups) {

@@ -216,21 +216,18 @@ int main(int argc, char** argv) {
   podium::serve::SelectionService service(std::move(snapshot),
                                           service_options);
 
-  // Reload = re-read --profiles, rebuild, atomic swap. Generation bumps so
-  // cache keys from the old snapshot stop matching.
-  std::uint64_t generation = 1;
+  // Reload = re-read --profiles and swap in the next generation, so cache
+  // keys from the old snapshot stop matching.
   std::function<podium::Status()> reload;
   if (!profiles.empty()) {
-    reload = [&service, &generation, profiles, snapshot_options]() {
-      podium::Result<podium::ProfileRepository> repository =
-          EndsWith(profiles, ".csv") ? podium::LoadRepositoryCsv(profiles)
-                                     : podium::LoadRepositoryJson(profiles);
-      if (!repository.ok()) return repository.status();
-      auto rebuilt = podium::serve::Snapshot::Build(
-          std::move(repository).value(), snapshot_options, ++generation);
-      if (!rebuilt.ok()) return rebuilt.status();
-      service.SwapSnapshot(std::move(rebuilt).value());
-      return podium::Status::Ok();
+    reload = [&service, profiles]() {
+      return service
+          .Reload([&profiles] {
+            return EndsWith(profiles, ".csv")
+                       ? podium::LoadRepositoryCsv(profiles)
+                       : podium::LoadRepositoryJson(profiles);
+          })
+          .status();
     };
   }
 

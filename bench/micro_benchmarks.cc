@@ -281,17 +281,24 @@ void BM_Bucketizer(benchmark::State& state) {
 }
 BENCHMARK(BM_Bucketizer)->DenseRange(0, 4)->Unit(benchmark::kMicrosecond);
 
+/// A repository slice in the JSON exchange format, serialized once.
+const std::string& RepositoryText() {
+  static const std::string text = [] {
+    datagen::DatasetConfig config;
+    config.num_users = 200;
+    config.num_restaurants = 400;
+    config.leaf_categories = 30;
+    config.holdout_destinations = 0;
+    config.seed = 9;
+    const datagen::Dataset data =
+        std::move(datagen::GenerateDataset(config)).value();
+    return json::Write(RepositoryToJson(data.repository));
+  }();
+  return text;
+}
+
 void BM_JsonParseRepository(benchmark::State& state) {
-  // Serialize a repository slice once, then benchmark parsing it back.
-  datagen::DatasetConfig config;
-  config.num_users = 200;
-  config.num_restaurants = 400;
-  config.leaf_categories = 30;
-  config.holdout_destinations = 0;
-  config.seed = 9;
-  const datagen::Dataset data =
-      std::move(datagen::GenerateDataset(config)).value();
-  const std::string text = json::Write(RepositoryToJson(data.repository));
+  const std::string& text = RepositoryText();
   for (auto _ : state) {
     benchmark::DoNotOptimize(json::Parse(text));
   }
@@ -299,6 +306,17 @@ void BM_JsonParseRepository(benchmark::State& state) {
                           static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_JsonParseRepository)->Unit(benchmark::kMillisecond);
+
+// The same text through the streaming loader, to the finished repository.
+void BM_ParseRepositoryJson(benchmark::State& state) {
+  const std::string& text = RepositoryText();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ParseRepositoryJson(text));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ParseRepositoryJson)->Unit(benchmark::kMillisecond);
 
 void BM_JaccardDistance(benchmark::State& state) {
   const ProfileRepository& repo = SharedDataset().repository;

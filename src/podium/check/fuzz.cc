@@ -3,14 +3,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <iterator>
 #include <optional>
 #include <utility>
 
+#include "podium/check/oracle.h"
 #include "podium/json/parser.h"
 #include "podium/json/writer.h"
+#include "podium/profile/repository_io.h"
 #include "podium/serve/handlers.h"
 #include "podium/util/rng.h"
 #include "podium/util/string_util.h"
@@ -142,6 +145,244 @@ serve::HttpRequest RandomRequest(util::Rng& rng) {
     }
   }
   return request;
+}
+
+/// A JSON document kept as text pieces, so it can hold what json::Value
+/// cannot: repeated keys, and numbers and strings in any spelling.
+struct TextDoc {
+  char kind = 's';   // '{', '[', or 's' for a scalar spelled in `text`
+  std::string text;  // a scalar's JSON spelling
+  std::vector<std::pair<std::string, TextDoc>> members;  // keys as JSON
+  std::vector<TextDoc> elements;
+};
+
+TextDoc Spelled(std::string text) {
+  TextDoc doc;
+  doc.text = std::move(text);
+  return doc;
+}
+
+/// Writes `doc` compact, or indented by two spaces per level.
+void Render(const TextDoc& doc, bool indent, int level, std::string& out) {
+  if (doc.kind == 's') {
+    out += doc.text;
+    return;
+  }
+  const bool object = doc.kind == '{';
+  const std::size_t count = object ? doc.members.size() : doc.elements.size();
+  out += doc.kind;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i > 0) out += ',';
+    if (indent) out.append("\n").append(2 * (level + 1), ' ');
+    if (object) {
+      out += doc.members[i].first;
+      out += indent ? ": " : ":";
+      Render(doc.members[i].second, indent, level + 1, out);
+    } else {
+      Render(doc.elements[i], indent, level + 1, out);
+    }
+  }
+  if (indent && count > 0) out.append("\n").append(2 * level, ' ');
+  out += object ? '}' : ']';
+}
+
+template <std::size_t N>
+std::string Pick(util::Rng& rng, const char* const (&pool)[N]) {
+  return pool[rng.NextBounded(N)];
+}
+
+// Labels and names as JSON spellings. Some pairs spell the same bytes
+// (escaped and raw UTF-8), so they are one key to both readers.
+constexpr const char* kLabels[] = {
+    R"("livesIn Tokyo")", R"("avgRating Mexican")", R"("visitFreq Bars")",
+    R"("caf\u00e9")",     "\"caf\xc3\xa9\"",
+    R"("\u65e5\u672c")",  "\"\xe6\x97\xa5\xe6\x9c\xac\"",
+    R"("\ud83d\ude00 x")", R"("a\u0000b")",        R"("tab\tx")",
+    R"("q\"uote")",        R"("sl\/ash")",          R"("")"};
+constexpr const char* kNames[] = {
+    R"("Alice")", R"("Zo\u00eb")", "\"Zo\xc3\xab\"", R"("n\u0000ul")",
+    R"("\u00c5sa")", R"("user 0")", R"("us\u0065r 1")"};
+// Scores that are not plain numbers in [0, 1]; 1e-310 and
+// 2.2250738585072012e-308 are subnormal, which strtod reports as out of
+// range (from_chars would accept them).
+constexpr const char* kEdgeScores[] = {
+    "-0",    "0.0e0", "1E0",   "1e-310", "2.2250738585072012e-308",
+    "1e400", "1.5",   "-0.5",  "null",   R"("high")",
+    "[]",    "{}",    "[0.5]", "0.50000000000000001"};
+constexpr const char* kKinds[] = {R"("boolean")", R"("score")", R"("")"};
+constexpr const char* kBadKinds[] = {R"("weird")", "5", "null", "true",
+                                     R"(["boolean"])"};
+constexpr const char* kNonObjects[] = {"5", "[]", "null", R"("x")", "true"};
+
+/// Arrays nested `levels` deep.
+TextDoc Nested(int levels) {
+  TextDoc doc = Spelled("0");
+  for (int i = 0; i < levels; ++i) {
+    TextDoc outer;
+    outer.kind = '[';
+    outer.elements.push_back(std::move(doc));
+    doc = std::move(outer);
+  }
+  return doc;
+}
+
+/// A score: a number in [0, 1], a bool, or (unless `clean`) an edge case.
+TextDoc RandomScore(util::Rng& rng, bool clean) {
+  const std::uint64_t roll = rng.NextBounded(10);
+  if (roll < 2) return Spelled(rng.NextBernoulli(0.5) ? "true" : "false");
+  if (roll < 8 || clean) {
+    return Spelled(util::StringPrintf("%.17g", rng.NextDouble()));
+  }
+  return Spelled(Pick(rng, kEdgeScores));
+}
+
+/// A value under an unknown key, occasionally nested past the depth limit.
+TextDoc RandomExtra(util::Rng& rng) {
+  if (rng.NextBernoulli(0.1)) return Nested(129);
+  TextDoc extra;
+  extra.kind = '{';
+  extra.members.emplace_back(R"("users")", Spelled("[]"));  // not the root's
+  extra.members.emplace_back(R"("name")", Spelled(R"("shadow")"));
+  return extra;
+}
+
+/// A user object, or (unless `clean`) sometimes a malformed one. Members
+/// come in random order, keys sometimes repeated.
+TextDoc RandomUser(util::Rng& rng, std::size_t index, bool clean) {
+  if (!clean && rng.NextBernoulli(0.03)) return Spelled(Pick(rng, kNonObjects));
+  TextDoc user;
+  user.kind = '{';
+  auto name = [&] {
+    if (!clean && rng.NextBernoulli(0.05)) return Spelled("7");
+    if (rng.NextBernoulli(clean ? 0.0 : 0.1)) return Spelled(Pick(rng, kNames));
+    return Spelled(util::StringPrintf("\"user %zu\"", index));
+  };
+  auto properties = [&] {
+    if (!clean && rng.NextBernoulli(0.03)) {
+      return Spelled(Pick(rng, kNonObjects));
+    }
+    TextDoc props;
+    props.kind = '{';
+    const std::size_t count = rng.NextBounded(7);
+    for (std::size_t i = 0; i < count; ++i) {
+      props.members.emplace_back(Pick(rng, kLabels), RandomScore(rng, clean));
+    }
+    return props;
+  };
+  if (clean || !rng.NextBernoulli(0.03)) {
+    user.members.emplace_back(R"("name")", name());
+  }
+  if (rng.NextBernoulli(0.9)) {
+    user.members.emplace_back(R"("properties")", properties());
+  }
+  if (rng.NextBernoulli(0.1)) user.members.emplace_back(R"("name")", name());
+  if (rng.NextBernoulli(0.1)) {
+    user.members.emplace_back(R"("properties")", properties());
+  }
+  if (rng.NextBernoulli(0.1)) {
+    user.members.emplace_back(R"("extra")", RandomExtra(rng));
+  }
+  // Shuffle the members: "name" may follow "properties".
+  for (std::size_t i = user.members.size(); i > 1; --i) {
+    std::swap(user.members[i - 1], user.members[rng.NextBounded(i)]);
+  }
+  return user;
+}
+
+/// A repository document. Half are `clean`: every name, score and kind
+/// well-typed and in range, so most of them load (all but those holding a
+/// depth bomb); the rest mix in the malformed cases.
+TextDoc RandomRepositoryDoc(util::Rng& rng) {
+  const bool clean = rng.NextBernoulli(0.5);
+  TextDoc root;
+  root.kind = '{';
+  auto users = [&] {
+    TextDoc array;
+    array.kind = '[';
+    const std::size_t count = rng.NextBounded(7);
+    for (std::size_t u = 0; u < count; ++u) {
+      array.elements.push_back(RandomUser(rng, u, clean));
+    }
+    return array;
+  };
+  auto kinds = [&] {
+    if (!clean && rng.NextBernoulli(0.05)) {
+      return Spelled(Pick(rng, kNonObjects));
+    }
+    TextDoc object;
+    object.kind = '{';
+    const std::size_t count = rng.NextBounded(5);
+    for (std::size_t i = 0; i < count; ++i) {
+      const bool bad = !clean && rng.NextBernoulli(0.1);
+      object.members.emplace_back(
+          Pick(rng, kLabels),
+          Spelled(bad ? Pick(rng, kBadKinds) : Pick(rng, kKinds)));
+    }
+    return object;
+  };
+  if (!clean && rng.NextBernoulli(0.03)) return Spelled(Pick(rng, kNonObjects));
+  if (clean || !rng.NextBernoulli(0.05)) {
+    root.members.emplace_back(R"("users")", users());
+  }
+  if (rng.NextBernoulli(0.7)) root.members.emplace_back(R"("kinds")", kinds());
+  if (rng.NextBernoulli(0.1)) {
+    const bool replace_with_non_array = !clean && rng.NextBernoulli(0.3);
+    root.members.emplace_back(R"("users")",
+                              replace_with_non_array
+                                  ? Spelled(Pick(rng, kNonObjects))
+                                  : users());
+  }
+  if (rng.NextBernoulli(0.1)) root.members.emplace_back(R"("kinds")", kinds());
+  if (rng.NextBernoulli(0.2)) {
+    root.members.emplace_back(R"("meta")", RandomExtra(rng));
+  }
+  // "kinds" lands before or after "users".
+  for (std::size_t i = root.members.size(); i > 1; --i) {
+    std::swap(root.members[i - 1], root.members[rng.NextBounded(i)]);
+  }
+  return root;
+}
+
+/// What differs between two repositories, or "" when they are identical:
+/// property ids, labels and kinds, user ids and names, and every entry's
+/// property and score bits.
+std::string RepositoryDifference(const ProfileRepository& a,
+                                 const ProfileRepository& b) {
+  const PropertyTable& pa = a.properties();
+  const PropertyTable& pb = b.properties();
+  if (pa.size() != pb.size()) {
+    return util::StringPrintf("%zu vs %zu properties", pa.size(), pb.size());
+  }
+  for (PropertyId p = 0; p < pa.size(); ++p) {
+    if (pa.Label(p) != pb.Label(p) || pa.Kind(p) != pb.Kind(p)) {
+      const std::string kind_a(PropertyKindName(pa.Kind(p)));
+      const std::string kind_b(PropertyKindName(pb.Kind(p)));
+      return util::StringPrintf("property %u is '%s' (%s) vs '%s' (%s)", p,
+                                pa.Label(p).c_str(), kind_a.c_str(),
+                                pb.Label(p).c_str(), kind_b.c_str());
+    }
+  }
+  if (a.user_count() != b.user_count()) {
+    return util::StringPrintf("%zu vs %zu users", a.user_count(),
+                              b.user_count());
+  }
+  for (UserId u = 0; u < a.user_count(); ++u) {
+    const UserProfile& ua = a.user(u);
+    const UserProfile& ub = b.user(u);
+    if (ua.name() != ub.name() || a.FindUser(ua.name()) != u ||
+        b.FindUser(ub.name()) != u) {
+      return util::StringPrintf("user %u is '%s' vs '%s'", u,
+                                ua.name().c_str(), ub.name().c_str());
+    }
+    bool same = ua.size() == ub.size();
+    for (std::size_t i = 0; same && i < ua.size(); ++i) {
+      same = ua.entries()[i].property == ub.entries()[i].property &&
+             std::bit_cast<std::uint64_t>(ua.entries()[i].score) ==
+                 std::bit_cast<std::uint64_t>(ub.entries()[i].score);
+    }
+    if (!same) return util::StringPrintf("user %u's entries differ", u);
+  }
+  return "";
 }
 
 }  // namespace
@@ -303,6 +544,53 @@ FuzzReport FuzzHttpRequests(std::uint64_t seed, int iterations) {
       AddFailure(report, seed, iter, "response round-trip mismatch");
     }
     (void)ParseResponseBytes(Mutate(rng, response_wire, 8), limits);
+  }
+  return report;
+}
+
+std::string LoaderDivergence(const std::string& text) {
+  Result<ProfileRepository> streamed = ParseRepositoryJson(text);
+  Result<json::Value> tree = json::Parse(text);
+  Result<ProfileRepository> reference =
+      tree.ok() ? RepositoryFromJson(tree.value())
+                : Result<ProfileRepository>(tree.status());
+  if (streamed.ok() && reference.ok()) {
+    return RepositoryDifference(streamed.value(), reference.value());
+  }
+  if (streamed.ok() != reference.ok() ||
+      streamed.status().code() != reference.status().code() ||
+      streamed.status().message() != reference.status().message()) {
+    return "streamed '" +
+           (streamed.ok() ? std::string("ok") : streamed.status().ToString()) +
+           "' vs reference '" +
+           (reference.ok() ? std::string("ok")
+                           : reference.status().ToString()) +
+           "'";
+  }
+  return "";
+}
+
+FuzzReport FuzzRepositoryJson(std::uint64_t seed, int iterations) {
+  FuzzReport report;
+  util::Rng rng(seed);
+  for (int iter = 0; iter < iterations; ++iter) {
+    ++report.iterations;
+    const TextDoc doc = RandomRepositoryDoc(rng);
+    for (const bool indent : {false, true}) {
+      std::string text;
+      Render(doc, indent, 0, text);
+      const std::string mutated = Mutate(rng, text, 4);
+      const std::string* inputs[] = {&text, &mutated};
+      for (const std::string* input : inputs) {
+        const std::string divergence = LoaderDivergence(*input);
+        if (!divergence.empty()) {
+          AddFailure(report, seed, iter,
+                     std::string(indent ? "indented" : "compact") +
+                         (input == &text ? "" : " mutated") + ": " +
+                         divergence);
+        }
+      }
+    }
   }
   return report;
 }

@@ -36,6 +36,23 @@ FuzzReport FuzzJson(std::uint64_t seed, int iterations);
 /// crash. Responses get the same through serve::ReadHttpResponse.
 FuzzReport FuzzHttpRequests(std::uint64_t seed, int iterations);
 
+/// Differential fuzz of the profiles loader: ParseRepositoryJson's single
+/// streaming pass against check::RepositoryFromJson over json::Parse's
+/// tree. Documents are generated repositories, written compact and
+/// indented, with "kinds" before and after "users", carrying duplicate
+/// keys at every level, \u escapes and non-ASCII names and labels, bool
+/// and non-scalar scores, edge numbers (-0, 1e-310,
+/// 2.2250738585072012e-308, 1e400), unknown keys nested past the depth
+/// limit, and random byte edits of each. Both readers must build the
+/// identical repository (names, labels, kinds, property ids, entries) or
+/// fail with the identical status code and message.
+FuzzReport FuzzRepositoryJson(std::uint64_t seed, int iterations);
+
+/// "" when ParseRepositoryJson and check::RepositoryFromJson over
+/// json::Parse agree on `text`, else what differs. Exposed for tests and
+/// for replaying fuzz findings.
+std::string LoaderDivergence(const std::string& text);
+
 /// Parses `bytes` with serve::TryParseHttpRequest as the event loop does,
 /// the end of `bytes` standing for the peer hanging up: an incomplete
 /// request is IoError, empty input NotFound. Exposed for tests and for

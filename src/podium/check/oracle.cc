@@ -216,4 +216,64 @@ Result<std::vector<UserId>> OracleEbsGreedy(
   return selected;
 }
 
+Result<ProfileRepository> RepositoryFromJson(const json::Value& document) {
+  if (!document.is_object()) {
+    return Status::ParseError("repository document must be a JSON object");
+  }
+  const json::Object& root = document.AsObject();
+
+  // Kinds first so properties intern with the right kind.
+  ProfileRepository repository;
+  if (const json::Value* kinds = root.Find("kinds"); kinds != nullptr) {
+    if (!kinds->is_object()) {
+      return Status::ParseError("'kinds' must be an object");
+    }
+    for (const auto& [label, kind_value] : kinds->AsObject().entries()) {
+      Result<std::string> kind_text = kind_value.GetString();
+      if (!kind_text.ok()) return kind_text.status();
+      Result<PropertyKind> kind = ParsePropertyKind(kind_text.value());
+      if (!kind.ok()) return kind.status();
+      repository.properties().Intern(label, kind.value());
+    }
+  }
+
+  const json::Value* users = root.Find("users");
+  if (users == nullptr || !users->is_array()) {
+    return Status::ParseError("repository document must have a 'users' array");
+  }
+  for (const json::Value& user_value : users->AsArray()) {
+    if (!user_value.is_object()) {
+      return Status::ParseError("each user must be a JSON object");
+    }
+    const json::Object& user = user_value.AsObject();
+    const json::Value* name = user.Find("name");
+    if (name == nullptr || !name->is_string()) {
+      return Status::ParseError("each user must have a string 'name'");
+    }
+    Result<UserId> id = repository.AddUser(name->AsString());
+    if (!id.ok()) return id.status();
+
+    const json::Value* props = user.Find("properties");
+    if (props == nullptr) continue;  // a user with an empty profile
+    if (!props->is_object()) {
+      return Status::ParseError("'properties' must be an object for user " +
+                                name->AsString());
+    }
+    for (const auto& [label, score_value] : props->AsObject().entries()) {
+      double score;
+      if (score_value.is_bool()) {
+        score = score_value.AsBool() ? 1.0 : 0.0;
+        repository.properties().Intern(label, PropertyKind::kBoolean);
+      } else if (score_value.is_number()) {
+        score = score_value.AsNumber();
+      } else {
+        return Status::ParseError("score of '" + label +
+                                  "' must be a number or bool");
+      }
+      PODIUM_RETURN_IF_ERROR(repository.SetScore(id.value(), label, score));
+    }
+  }
+  return repository;
+}
+
 }  // namespace podium::check

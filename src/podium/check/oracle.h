@@ -7,6 +7,8 @@
 
 #include "podium/core/instance.h"
 #include "podium/core/selection.h"
+#include "podium/json/value.h"
+#include "podium/profile/repository.h"
 #include "podium/util/result.h"
 
 namespace podium::check {
@@ -72,6 +74,14 @@ Result<Selection> OracleGreedy(const DiversificationInstance& instance,
 Result<std::vector<UserId>> OracleEbsGreedy(
     const DiversificationInstance& instance, std::size_t budget,
     std::vector<UserId> pool = {}, std::vector<UserId> tie_order = {});
+
+/// The profiles exchange format (profile/repository_io.h) read from the
+/// whole json::Value tree that json::Parse builds: kinds interned first,
+/// then each user in order, each lookup through json::Object (whose Set
+/// keeps a repeated key's first position and last value). The reference
+/// that ParseRepositoryJson's single streaming pass must equal, as the
+/// same repository or the same error.
+Result<ProfileRepository> RepositoryFromJson(const json::Value& document);
 
 }  // namespace podium::check
 

@@ -1,8 +1,8 @@
 #include "podium/csv/csv.h"
 
 #include <fstream>
-#include <sstream>
 
+#include "podium/util/file.h"
 #include "podium/util/string_util.h"
 
 namespace podium::csv {
@@ -130,12 +130,9 @@ Result<Table> Parse(std::string_view text, const ParseOptions& options) {
 }
 
 Result<Table> ParseFile(const std::string& path, const ParseOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IoError("error reading file: " + path);
-  return Parse(buffer.str(), options);
+  Result<std::string> text = util::ReadFile(path);
+  if (!text.ok()) return text.status();
+  return Parse(text.value(), options);
 }
 
 namespace {

@@ -1,331 +1,83 @@
 #include "podium/json/parser.h"
 
-#include <cerrno>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-
-#include "podium/util/string_util.h"
+#include "podium/json/lexer.h"
+#include "podium/util/file.h"
 
 namespace podium::json {
 
 namespace {
 
-/// Recursive-descent JSON parser over a string_view. Tracks line/column for
-/// error messages and enforces a nesting depth limit.
-class Parser {
+/// Builds a Value tree over the shared lexer.
+class TreeBuilder {
  public:
-  Parser(std::string_view text, const ParseOptions& options)
-      : text_(text), options_(options) {}
+  TreeBuilder(std::string_view text, const ParseOptions& options)
+      : lexer_(text, options) {}
 
   Result<Value> ParseDocument() {
-    if (options_.max_document_bytes > 0 &&
-        text_.size() > options_.max_document_bytes) {
-      return Error(util::StringPrintf(
-          "document size %zu exceeds limit of %zu bytes", text_.size(),
-          options_.max_document_bytes));
-    }
-    SkipWhitespace();
+    PODIUM_RETURN_IF_ERROR(lexer_.BeginDocument());
     Result<Value> value = ParseValue(0);
     if (!value.ok()) return value;
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Error("trailing characters after JSON document");
-    }
+    PODIUM_RETURN_IF_ERROR(lexer_.EndDocument());
     return value;
   }
 
  private:
-  Status Error(const std::string& message) const {
-    return Status::ParseError(util::StringPrintf(
-        "%s at line %d column %d", message.c_str(), line_, Column()));
-  }
-
-  int Column() const { return static_cast<int>(pos_ - line_start_) + 1; }
-
-  bool AtEnd() const { return pos_ >= text_.size(); }
-  char Peek() const { return text_[pos_]; }
-
-  char Advance() {
-    char c = text_[pos_++];
-    if (c == '\n') {
-      ++line_;
-      line_start_ = pos_;
-    }
-    return c;
-  }
-
-  void SkipWhitespace() {
-    while (!AtEnd()) {
-      char c = Peek();
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        Advance();
-      } else {
-        break;
-      }
-    }
-  }
-
-  bool ConsumeLiteral(std::string_view literal) {
-    if (text_.substr(pos_, literal.size()) != literal) return false;
-    for (std::size_t i = 0; i < literal.size(); ++i) Advance();
-    return true;
-  }
-
   Result<Value> ParseValue(int depth) {
-    // The root value sits at depth 0, so a document nested more than
-    // max_depth levels deep is rejected exactly at the limit.
-    if (depth >= options_.max_depth) return Error("nesting depth exceeded");
-    if (options_.max_total_nodes > 0 &&
-        ++node_count_ > options_.max_total_nodes) {
-      return Error(util::StringPrintf("node count exceeds limit of %zu",
-                                      options_.max_total_nodes));
-    }
-    if (AtEnd()) return Error("unexpected end of input");
-    switch (Peek()) {
-      case '{':
-        return ParseObject(depth);
-      case '[':
-        return ParseArray(depth);
-      case '"': {
-        Result<std::string> s = ParseString();
-        if (!s.ok()) return s.status();
-        return Value(std::move(s).value());
-      }
-      case 't':
-        if (ConsumeLiteral("true")) return Value(true);
-        return Error("invalid literal");
-      case 'f':
-        if (ConsumeLiteral("false")) return Value(false);
-        return Error("invalid literal");
-      case 'n':
-        if (ConsumeLiteral("null")) return Value(nullptr);
-        return Error("invalid literal");
+    PODIUM_RETURN_IF_ERROR(lexer_.BeginValue(depth));
+    if (lexer_.Peek() == '{') return ParseObject(depth);
+    if (lexer_.Peek() == '[') return ParseArray(depth);
+    PODIUM_RETURN_IF_ERROR(lexer_.ReadScalar(scalar_));
+    switch (scalar_.type) {
+      case Type::kBool:
+        return Value(scalar_.boolean);
+      case Type::kNumber:
+        return Value(scalar_.number);
+      case Type::kString:
+        return Value(std::move(scalar_.string));
       default:
-        return ParseNumber();
+        return Value(nullptr);
     }
   }
 
   Result<Value> ParseObject(int depth) {
-    Advance();  // '{'
     Object object;
-    SkipWhitespace();
-    if (!AtEnd() && Peek() == '}') {
-      Advance();
-      return Value(std::move(object));
-    }
-    for (;;) {
-      SkipWhitespace();
-      if (AtEnd() || Peek() != '"') return Error("expected object key");
-      Result<std::string> key = ParseString();
-      if (!key.ok()) return key.status();
-      SkipWhitespace();
-      if (AtEnd() || Peek() != ':') return Error("expected ':' after key");
-      Advance();
-      SkipWhitespace();
+    for (bool first = true;; first = false) {
+      std::string key;
+      Result<bool> more = lexer_.NextMember(first, key);
+      if (!more.ok()) return more.status();
+      if (!more.value()) return Value(std::move(object));
       Result<Value> value = ParseValue(depth + 1);
       if (!value.ok()) return value;
-      object.Set(std::move(key).value(), std::move(value).value());
-      SkipWhitespace();
-      if (AtEnd()) return Error("unterminated object");
-      char c = Advance();
-      if (c == '}') break;
-      if (c != ',') return Error("expected ',' or '}' in object");
+      object.Set(std::move(key), std::move(value).value());
     }
-    return Value(std::move(object));
   }
 
   Result<Value> ParseArray(int depth) {
-    Advance();  // '['
     Array array;
-    SkipWhitespace();
-    if (!AtEnd() && Peek() == ']') {
-      Advance();
-      return Value(std::move(array));
-    }
-    for (;;) {
-      SkipWhitespace();
+    for (bool first = true;; first = false) {
+      Result<bool> more = lexer_.NextElement(first);
+      if (!more.ok()) return more.status();
+      if (!more.value()) return Value(std::move(array));
       Result<Value> value = ParseValue(depth + 1);
       if (!value.ok()) return value;
       array.push_back(std::move(value).value());
-      SkipWhitespace();
-      if (AtEnd()) return Error("unterminated array");
-      char c = Advance();
-      if (c == ']') break;
-      if (c != ',') return Error("expected ',' or ']' in array");
-    }
-    return Value(std::move(array));
-  }
-
-  Result<std::string> ParseString() {
-    Advance();  // '"'
-    std::string out;
-    for (;;) {
-      if (AtEnd()) return Error("unterminated string");
-      char c = Advance();
-      if (c == '"') break;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Error("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (AtEnd()) return Error("unterminated escape");
-      char esc = Advance();
-      switch (esc) {
-        case '"':
-          out.push_back('"');
-          break;
-        case '\\':
-          out.push_back('\\');
-          break;
-        case '/':
-          out.push_back('/');
-          break;
-        case 'b':
-          out.push_back('\b');
-          break;
-        case 'f':
-          out.push_back('\f');
-          break;
-        case 'n':
-          out.push_back('\n');
-          break;
-        case 'r':
-          out.push_back('\r');
-          break;
-        case 't':
-          out.push_back('\t');
-          break;
-        case 'u': {
-          Result<unsigned> cp = ParseHex4();
-          if (!cp.ok()) return cp.status();
-          unsigned code_point = cp.value();
-          // Combine surrogate pairs into a single code point.
-          if (code_point >= 0xD800 && code_point <= 0xDBFF) {
-            if (pos_ + 1 < text_.size() && text_[pos_] == '\\' &&
-                text_[pos_ + 1] == 'u') {
-              Advance();
-              Advance();
-              Result<unsigned> low = ParseHex4();
-              if (!low.ok()) return low.status();
-              if (low.value() < 0xDC00 || low.value() > 0xDFFF) {
-                return Error("invalid low surrogate");
-              }
-              code_point = 0x10000 + ((code_point - 0xD800) << 10) +
-                           (low.value() - 0xDC00);
-            } else {
-              return Error("unpaired high surrogate");
-            }
-          } else if (code_point >= 0xDC00 && code_point <= 0xDFFF) {
-            return Error("unpaired low surrogate");
-          }
-          AppendUtf8(code_point, out);
-          break;
-        }
-        default:
-          return Error("invalid escape character");
-      }
-    }
-    return out;
-  }
-
-  Result<unsigned> ParseHex4() {
-    unsigned value = 0;
-    for (int i = 0; i < 4; ++i) {
-      if (AtEnd()) return Error("truncated \\u escape");
-      char c = Advance();
-      value <<= 4;
-      if (c >= '0' && c <= '9') {
-        value |= static_cast<unsigned>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        value |= static_cast<unsigned>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        value |= static_cast<unsigned>(c - 'A' + 10);
-      } else {
-        return Error("invalid hex digit in \\u escape");
-      }
-    }
-    return value;
-  }
-
-  static void AppendUtf8(unsigned cp, std::string& out) {
-    if (cp < 0x80) {
-      out.push_back(static_cast<char>(cp));
-    } else if (cp < 0x800) {
-      out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else if (cp < 0x10000) {
-      out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else {
-      out.push_back(static_cast<char>(0xF0 | (cp >> 18)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
     }
   }
 
-  Result<Value> ParseNumber() {
-    const std::size_t start = pos_;
-    if (!AtEnd() && Peek() == '-') Advance();
-    if (AtEnd() || Peek() < '0' || Peek() > '9') {
-      return Error("invalid number");
-    }
-    // Integer part: either a single 0 or a nonzero-led digit run.
-    if (Peek() == '0') {
-      Advance();
-    } else {
-      while (!AtEnd() && Peek() >= '0' && Peek() <= '9') Advance();
-    }
-    if (!AtEnd() && Peek() == '.') {
-      Advance();
-      if (AtEnd() || Peek() < '0' || Peek() > '9') {
-        return Error("expected digits after decimal point");
-      }
-      while (!AtEnd() && Peek() >= '0' && Peek() <= '9') Advance();
-    }
-    if (!AtEnd() && (Peek() == 'e' || Peek() == 'E')) {
-      Advance();
-      if (!AtEnd() && (Peek() == '+' || Peek() == '-')) Advance();
-      if (AtEnd() || Peek() < '0' || Peek() > '9') {
-        return Error("expected digits in exponent");
-      }
-      while (!AtEnd() && Peek() >= '0' && Peek() <= '9') Advance();
-    }
-    const std::string token(text_.substr(start, pos_ - start));
-    errno = 0;
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (errno == ERANGE) return Error("number out of range");
-    if (end != token.c_str() + token.size()) return Error("invalid number");
-    return Value(value);
-  }
-
-  std::string_view text_;
-  const ParseOptions& options_;
-  std::size_t node_count_ = 0;
-  std::size_t pos_ = 0;
-  int line_ = 1;
-  std::size_t line_start_ = 0;
+  Lexer lexer_;
+  Scalar scalar_;
 };
 
 }  // namespace
 
 Result<Value> Parse(std::string_view text, const ParseOptions& options) {
-  Parser parser(text, options);
-  return parser.ParseDocument();
+  return TreeBuilder(text, options).ParseDocument();
 }
 
 Result<Value> ParseFile(const std::string& path, const ParseOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IoError("error reading file: " + path);
-  return Parse(buffer.str(), options);
+  Result<std::string> text = util::ReadFile(path);
+  if (!text.ok()) return text.status();
+  return Parse(text.value(), options);
 }
 
 }  // namespace podium::json

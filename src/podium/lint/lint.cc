@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 #include <utility>
 
+#include "podium/util/file.h"
 #include "podium/util/string_util.h"
 
 namespace podium::lint {
@@ -648,7 +647,7 @@ constexpr ModuleRule kModuleDag[] = {
     {"ingest", "datagen json obs opinion profile util"},
     {"shard", "bucketing core groups obs profile util"},
     {"serve", "core groups json obs profile shard util"},
-    {"check", "core datagen json serve shard util"},
+    {"check", "core datagen json profile serve shard util"},
 };
 
 const ModuleRule* FindModuleRule(std::string_view module) {
@@ -838,12 +837,9 @@ std::vector<Finding> LintSource(std::string_view path,
 }
 
 Result<std::vector<Finding>> LintFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IoError("error reading file: " + path);
-  return LintSource(path, buffer.str());
+  Result<std::string> text = util::ReadFile(path);
+  if (!text.ok()) return text.status();
+  return LintSource(path, text.value());
 }
 
 Result<std::vector<Finding>> LintTree(const std::vector<std::string>& roots,

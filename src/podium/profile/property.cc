@@ -12,8 +12,14 @@ std::string_view PropertyKindName(PropertyKind kind) {
   return "unknown";
 }
 
+Result<PropertyKind> ParsePropertyKind(std::string_view text) {
+  if (text == "boolean") return PropertyKind::kBoolean;
+  if (text == "score" || text.empty()) return PropertyKind::kScore;
+  return Status::ParseError("unknown property kind: " + std::string(text));
+}
+
 PropertyId PropertyTable::Intern(std::string_view label, PropertyKind kind) {
-  auto it = index_.find(std::string(label));
+  auto it = index_.find(label);
   if (it != index_.end()) return it->second;
   const auto id = static_cast<PropertyId>(labels_.size());
   labels_.emplace_back(label);
@@ -23,7 +29,7 @@ PropertyId PropertyTable::Intern(std::string_view label, PropertyKind kind) {
 }
 
 PropertyId PropertyTable::Find(std::string_view label) const {
-  auto it = index_.find(std::string(label));
+  auto it = index_.find(label);
   return it == index_.end() ? kInvalidProperty : it->second;
 }
 

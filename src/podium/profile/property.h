@@ -2,10 +2,14 @@
 #define PODIUM_PROFILE_PROPERTY_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
+
+#include "podium/util/result.h"
+#include "podium/util/string_util.h"
 
 namespace podium {
 
@@ -23,6 +27,10 @@ enum class PropertyKind : std::uint8_t {
 
 std::string_view PropertyKindName(PropertyKind kind);
 
+/// The kind named `text`: "boolean", or "score" (also for ""). Anything
+/// else is a ParseError.
+Result<PropertyKind> ParsePropertyKind(std::string_view text);
+
 /// Interning table mapping human-readable property labels ("avgRating
 /// Mexican") to dense PropertyIds and carrying per-property metadata.
 ///
@@ -33,7 +41,8 @@ class PropertyTable {
   PropertyTable() = default;
 
   /// Returns the id for `label`, interning it with `kind` if new. If the
-  /// label already exists its kind is left unchanged.
+  /// label already exists its kind is left unchanged. A lookup builds no
+  /// string; only a new label is copied.
   PropertyId Intern(std::string_view label,
                     PropertyKind kind = PropertyKind::kScore);
 
@@ -49,7 +58,9 @@ class PropertyTable {
  private:
   std::vector<std::string> labels_;
   std::vector<PropertyKind> kinds_;
-  std::unordered_map<std::string, PropertyId> index_;
+  std::unordered_map<std::string, PropertyId, util::StringHash,
+                     std::equal_to<>>
+      index_;
 };
 
 }  // namespace podium

@@ -23,12 +23,12 @@ Result<UserId> ProfileRepository::AddUser(std::string name) {
 }
 
 UserId ProfileRepository::FindUser(std::string_view name) const {
-  auto it = user_index_.find(std::string(name));
+  auto it = user_index_.find(name);
   return it == user_index_.end() ? kInvalidUser : it->second;
 }
 
-Status ProfileRepository::SetScore(UserId user, PropertyId property,
-                                   double score) {
+Status ProfileRepository::CheckScore(UserId user, PropertyId property,
+                                     double score) const {
   if (user >= users_.size()) {
     return Status::OutOfRange(util::StringPrintf("user id %u out of range",
                                                  user));
@@ -42,7 +42,22 @@ Status ProfileRepository::SetScore(UserId user, PropertyId property,
         "score %f for property '%s' outside [0, 1]", score,
         properties_.Label(property).c_str()));
   }
+  return Status::Ok();
+}
+
+Status ProfileRepository::SetScore(UserId user, PropertyId property,
+                                   double score) {
+  PODIUM_RETURN_IF_ERROR(CheckScore(user, property, score));
   users_[user].Set(property, score);
+  return Status::Ok();
+}
+
+Status ProfileRepository::SetScores(UserId user,
+                                    std::vector<PropertyScore> entries) {
+  for (const PropertyScore& entry : entries) {
+    PODIUM_RETURN_IF_ERROR(CheckScore(user, entry.property, entry.score));
+  }
+  users_[user].ReplaceEntries(std::move(entries));
   return Status::Ok();
 }
 

@@ -1,6 +1,7 @@
 #ifndef PODIUM_PROFILE_REPOSITORY_H_
 #define PODIUM_PROFILE_REPOSITORY_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -9,6 +10,7 @@
 #include "podium/profile/property.h"
 #include "podium/profile/user_profile.h"
 #include "podium/util/result.h"
+#include "podium/util/string_util.h"
 
 namespace podium {
 
@@ -35,7 +37,7 @@ class ProfileRepository {
   /// Duplicate names get an error.
   Result<UserId> AddUser(std::string name);
 
-  /// Id of the user named `name`, or kInvalidUser.
+  /// Id of the user named `name`, or kInvalidUser. Builds no string.
   UserId FindUser(std::string_view name) const;
 
   std::size_t user_count() const { return users_.size(); }
@@ -54,6 +56,11 @@ class ProfileRepository {
   Status SetScore(UserId user, std::string_view label, double score,
                   PropertyKind kind = PropertyKind::kScore);
 
+  /// Replaces the profile of `user` with `entries` in one step (any order;
+  /// a repeated property keeps its last score). Checks every entry as
+  /// SetScore does, in order, and changes nothing on failure.
+  Status SetScores(UserId user, std::vector<PropertyScore> entries);
+
   /// |p| — the number of users whose profile contains `property`.
   std::size_t SupportCount(PropertyId property) const;
 
@@ -61,9 +68,12 @@ class ProfileRepository {
   double MeanProfileSize() const;
 
  private:
+  Status CheckScore(UserId user, PropertyId property, double score) const;
+
   PropertyTable properties_;
   std::vector<UserProfile> users_;
-  std::unordered_map<std::string, UserId> user_index_;
+  std::unordered_map<std::string, UserId, util::StringHash, std::equal_to<>>
+      user_index_;
 };
 
 }  // namespace podium

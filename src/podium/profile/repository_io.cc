@@ -1,22 +1,20 @@
 #include "podium/profile/repository_io.h"
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
+#include <utility>
+#include <vector>
 
 #include "podium/csv/csv.h"
-#include "podium/json/parser.h"
+#include "podium/json/lexer.h"
 #include "podium/json/writer.h"
+#include "podium/util/file.h"
 #include "podium/util/string_util.h"
 
 namespace podium {
 
 namespace {
-
-Result<PropertyKind> ParseKind(std::string_view text) {
-  if (text == "boolean") return PropertyKind::kBoolean;
-  if (text == "score" || text.empty()) return PropertyKind::kScore;
-  return Status::ParseError("unknown property kind: " + std::string(text));
-}
 
 Result<double> ParseScoreField(const std::string& field) {
   errno = 0;
@@ -29,9 +27,277 @@ Result<double> ParseScoreField(const std::string& field) {
   return value;
 }
 
+/// One pass of json::Lexer over the exchange format, straight into a
+/// ProfileRepository. Syntax errors return at once. A semantic error is
+/// kept (users_error_, kinds_error_) while the rest of the document is
+/// still checked for syntax, and reported only once it all parses, in the
+/// order a reader of the whole tree would meet it.
+///
+/// json::Object::Set keeps a repeated key's first position and last value.
+/// For "users", "kinds", "name" and "properties" the last value simply
+/// replaces what the earlier ones built. A user's members are buffered
+/// until the user ends (its "name" may follow its "properties"), and its
+/// property labels are deduplicated before any is checked or sets a kind.
+class RepositoryReader {
+ public:
+  explicit RepositoryReader(std::string_view text) : lexer_(text) {}
+
+  Result<ProfileRepository> Read() {
+    PODIUM_RETURN_IF_ERROR(lexer_.BeginDocument());
+    PODIUM_RETURN_IF_ERROR(lexer_.BeginValue(0));
+    if (lexer_.Peek() != '{') {
+      PODIUM_RETURN_IF_ERROR(lexer_.SkipValue(0));
+      PODIUM_RETURN_IF_ERROR(lexer_.EndDocument());
+      return Status::ParseError("repository document must be a JSON object");
+    }
+    for (bool first = true;; first = false) {
+      PODIUM_ASSIGN_OR_RETURN(const bool more, lexer_.NextMember(first, key_));
+      if (!more) break;
+      PODIUM_RETURN_IF_ERROR(lexer_.BeginValue(1));
+      if (key_ == "users") {
+        PODIUM_RETURN_IF_ERROR(ReadUsers());
+      } else if (key_ == "kinds") {
+        PODIUM_RETURN_IF_ERROR(ReadKinds());
+      } else {
+        PODIUM_RETURN_IF_ERROR(lexer_.SkipValue(1));
+      }
+    }
+    PODIUM_RETURN_IF_ERROR(lexer_.EndDocument());
+    if (!kinds_error_.ok()) return kinds_error_;
+    if (!has_users_) {
+      return Status::ParseError(
+          "repository document must have a 'users' array");
+    }
+    if (!users_error_.ok()) return users_error_;
+    PutKindsFirst();
+    return std::move(repository_);
+  }
+
+ private:
+  /// A property as read, before deduplication: its label is
+  /// labels_[offset, offset + length).
+  struct RawScore {
+    std::size_t offset;
+    std::size_t length;
+    json::Type type;
+    double score;
+  };
+
+  /// A property after deduplication: the first position, the last value.
+  struct DedupedScore {
+    PropertyId property;
+    bool fresh;  // interned by this user
+    json::Type type;
+    double score;
+  };
+
+  Status ReadKinds() {
+    kinds_ = PropertyTable();
+    kinds_error_ = Status::Ok();
+    if (lexer_.Peek() != '{') {
+      kinds_error_ = Status::ParseError("'kinds' must be an object");
+      return lexer_.SkipValue(1);
+    }
+    std::vector<json::Scalar> values;  // per label in kinds_, its last value
+    for (bool first = true;; first = false) {
+      PODIUM_ASSIGN_OR_RETURN(const bool more, lexer_.NextMember(first, key_));
+      if (!more) break;
+      PODIUM_RETURN_IF_ERROR(lexer_.BeginValue(2));
+      const PropertyId label = kinds_.Intern(key_);
+      if (label == values.size()) values.emplace_back();
+      PODIUM_RETURN_IF_ERROR(ReadValue(2, values[label]));
+    }
+    for (PropertyId label = 0; label < values.size(); ++label) {
+      if (values[label].type != json::Type::kString) {
+        kinds_error_ = Status::ParseError(
+            "expected string, found " +
+            std::string(json::TypeName(values[label].type)));
+        break;
+      }
+      Result<PropertyKind> kind = ParsePropertyKind(values[label].string);
+      if (!kind.ok()) {
+        kinds_error_ = kind.status();
+        break;
+      }
+      kinds_.SetKind(label, kind.value());
+    }
+    return Status::Ok();
+  }
+
+  Status ReadUsers() {
+    repository_ = ProfileRepository();
+    users_error_ = Status::Ok();
+    stamp_.clear();
+    slot_.clear();
+    has_users_ = lexer_.Peek() == '[';
+    if (!has_users_) return lexer_.SkipValue(1);
+    for (bool first = true;; first = false) {
+      PODIUM_ASSIGN_OR_RETURN(const bool more, lexer_.NextElement(first));
+      if (!more) return Status::Ok();
+      PODIUM_RETURN_IF_ERROR(lexer_.BeginValue(2));
+      if (!users_error_.ok()) {
+        PODIUM_RETURN_IF_ERROR(lexer_.SkipValue(2));
+      } else {
+        PODIUM_RETURN_IF_ERROR(ReadUser());
+      }
+    }
+  }
+
+  Status ReadUser() {
+    if (lexer_.Peek() != '{') {
+      users_error_ = Status::ParseError("each user must be a JSON object");
+      return lexer_.SkipValue(2);
+    }
+    bool has_name = false;        // the last "name" is a string
+    bool has_properties = false;  // there is a "properties"
+    bool properties_ok = false;   // and the last one is an object
+    for (bool first = true;; first = false) {
+      PODIUM_ASSIGN_OR_RETURN(const bool more, lexer_.NextMember(first, key_));
+      if (!more) break;
+      PODIUM_RETURN_IF_ERROR(lexer_.BeginValue(3));
+      if (key_ == "name") {
+        has_name = lexer_.Peek() == '"';
+        name_.clear();
+        PODIUM_RETURN_IF_ERROR(has_name ? lexer_.ReadString(name_)
+                                        : lexer_.SkipValue(3));
+      } else if (key_ == "properties") {
+        has_properties = true;
+        properties_ok = lexer_.Peek() == '{';
+        PODIUM_RETURN_IF_ERROR(properties_ok ? ReadProperties()
+                                             : lexer_.SkipValue(3));
+      } else {
+        PODIUM_RETURN_IF_ERROR(lexer_.SkipValue(3));
+      }
+    }
+    if (!has_name) {
+      users_error_ = Status::ParseError("each user must have a string 'name'");
+      return Status::Ok();
+    }
+    Result<UserId> user = repository_.AddUser(name_);
+    if (!user.ok()) {
+      users_error_ = user.status();
+    } else if (has_properties && !properties_ok) {
+      users_error_ = Status::ParseError(
+          "'properties' must be an object for user " + name_);
+    } else if (has_properties) {
+      users_error_ = SetProperties(user.value());
+    }
+    return Status::Ok();
+  }
+
+  Status ReadProperties() {
+    raw_.clear();
+    labels_.clear();
+    for (bool first = true;; first = false) {
+      PODIUM_ASSIGN_OR_RETURN(const bool more, lexer_.NextMember(first, key_));
+      if (!more) return Status::Ok();
+      PODIUM_RETURN_IF_ERROR(lexer_.BeginValue(4));
+      PODIUM_RETURN_IF_ERROR(ReadValue(4, scalar_));
+      double score = scalar_.number;
+      if (scalar_.type == json::Type::kBool) {
+        score = scalar_.boolean ? 1.0 : 0.0;
+      }
+      raw_.push_back({labels_.size(), key_.size(), scalar_.type, score});
+      labels_ += key_;
+    }
+  }
+
+  /// Reads a scalar into `out`, or skips a container and records its type.
+  Status ReadValue(int depth, json::Scalar& out) {
+    const char opener = lexer_.Peek();
+    if (opener != '{' && opener != '[') return lexer_.ReadScalar(out);
+    out.type = opener == '{' ? json::Type::kObject : json::Type::kArray;
+    return lexer_.SkipValue(depth);
+  }
+
+  /// Deduplicates the buffered properties, then checks and sets them in
+  /// order. The first failure is the user's error.
+  Status SetProperties(UserId user) {
+    PropertyTable& table = repository_.properties();
+    const std::size_t known = table.size();
+    ++user_stamp_;
+    deduped_.clear();
+    for (const RawScore& raw : raw_) {
+      const PropertyId property = table.Intern(
+          std::string_view(labels_).substr(raw.offset, raw.length));
+      if (property >= stamp_.size()) {
+        stamp_.resize(property + 1, 0);
+        slot_.resize(property + 1, 0);
+      }
+      if (stamp_[property] == user_stamp_) {
+        DedupedScore& kept = deduped_[slot_[property]];
+        kept.type = raw.type;
+        kept.score = raw.score;
+        continue;
+      }
+      stamp_[property] = user_stamp_;
+      slot_[property] = static_cast<std::uint32_t>(deduped_.size());
+      deduped_.push_back({property, property >= known, raw.type, raw.score});
+    }
+    std::vector<PropertyScore> entries;
+    entries.reserve(deduped_.size());
+    Status type_error;
+    for (const DedupedScore& score : deduped_) {
+      if (score.type == json::Type::kBool) {
+        if (score.fresh) table.SetKind(score.property, PropertyKind::kBoolean);
+      } else if (score.type != json::Type::kNumber) {
+        type_error = Status::ParseError("score of '" +
+                                        table.Label(score.property) +
+                                        "' must be a number or bool");
+        break;
+      }
+      entries.push_back({score.property, score.score});
+    }
+    // A range error before the first type error comes first.
+    PODIUM_RETURN_IF_ERROR(repository_.SetScores(user, std::move(entries)));
+    return type_error;
+  }
+
+  /// Renumbers the properties so the "kinds" labels come first, in kinds
+  /// order and with their declared kinds; the rest keep their order.
+  void PutKindsFirst() {
+    if (kinds_.size() == 0) return;
+    PropertyTable& table = repository_.properties();
+    std::vector<PropertyId> renumbered(table.size());
+    bool moved = false;
+    for (PropertyId p = 0; p < table.size(); ++p) {
+      renumbered[p] = kinds_.Intern(table.Label(p), table.Kind(p));
+      moved = moved || renumbered[p] != p;
+    }
+    table = std::move(kinds_);
+    if (!moved) return;
+    for (UserId u = 0; u < repository_.user_count(); ++u) {
+      std::vector<PropertyScore> entries = repository_.user(u).entries();
+      for (PropertyScore& entry : entries) {
+        entry.property = renumbered[entry.property];
+      }
+      repository_.mutable_user(u).ReplaceEntries(std::move(entries));
+    }
+  }
+
+  json::Lexer lexer_;
+  ProfileRepository repository_;
+  bool has_users_ = false;  // the last "users" is an array
+  Status users_error_;
+  PropertyTable kinds_;  // the last "kinds", once it checks out
+  Status kinds_error_;
+
+  // Scratch reused across users.
+  std::string key_;
+  std::string name_;
+  json::Scalar scalar_;
+  std::string labels_;
+  std::vector<RawScore> raw_;
+  std::vector<DedupedScore> deduped_;
+  std::vector<std::uint32_t> stamp_;  // per property: last user_stamp_ seen
+  std::vector<std::uint32_t> slot_;   // per property: its index in deduped_
+  std::uint32_t user_stamp_ = 0;
+};
+
 }  // namespace
 
 json::Value RepositoryToJson(const ProfileRepository& repository) {
+
   json::Object root;
 
   json::Array users;
@@ -60,66 +326,6 @@ json::Value RepositoryToJson(const ProfileRepository& repository) {
   return json::Value(std::move(root));
 }
 
-Result<ProfileRepository> RepositoryFromJson(const json::Value& document) {
-  if (!document.is_object()) {
-    return Status::ParseError("repository document must be a JSON object");
-  }
-  const json::Object& root = document.AsObject();
-
-  // Kinds first so properties intern with the right kind.
-  ProfileRepository repository;
-  if (const json::Value* kinds = root.Find("kinds"); kinds != nullptr) {
-    if (!kinds->is_object()) {
-      return Status::ParseError("'kinds' must be an object");
-    }
-    for (const auto& [label, kind_value] : kinds->AsObject().entries()) {
-      Result<std::string> kind_text = kind_value.GetString();
-      if (!kind_text.ok()) return kind_text.status();
-      Result<PropertyKind> kind = ParseKind(kind_text.value());
-      if (!kind.ok()) return kind.status();
-      repository.properties().Intern(label, kind.value());
-    }
-  }
-
-  const json::Value* users = root.Find("users");
-  if (users == nullptr || !users->is_array()) {
-    return Status::ParseError("repository document must have a 'users' array");
-  }
-  for (const json::Value& user_value : users->AsArray()) {
-    if (!user_value.is_object()) {
-      return Status::ParseError("each user must be a JSON object");
-    }
-    const json::Object& user = user_value.AsObject();
-    const json::Value* name = user.Find("name");
-    if (name == nullptr || !name->is_string()) {
-      return Status::ParseError("each user must have a string 'name'");
-    }
-    Result<UserId> id = repository.AddUser(name->AsString());
-    if (!id.ok()) return id.status();
-
-    const json::Value* props = user.Find("properties");
-    if (props == nullptr) continue;  // a user with an empty profile
-    if (!props->is_object()) {
-      return Status::ParseError("'properties' must be an object for user " +
-                                name->AsString());
-    }
-    for (const auto& [label, score_value] : props->AsObject().entries()) {
-      double score;
-      if (score_value.is_bool()) {
-        score = score_value.AsBool() ? 1.0 : 0.0;
-        repository.properties().Intern(label, PropertyKind::kBoolean);
-      } else if (score_value.is_number()) {
-        score = score_value.AsNumber();
-      } else {
-        return Status::ParseError("score of '" + label +
-                                  "' must be a number or bool");
-      }
-      PODIUM_RETURN_IF_ERROR(repository.SetScore(id.value(), label, score));
-    }
-  }
-  return repository;
-}
-
 Status SaveRepositoryJson(const ProfileRepository& repository,
                           const std::string& path) {
   json::WriteOptions options;
@@ -127,10 +333,14 @@ Status SaveRepositoryJson(const ProfileRepository& repository,
   return json::WriteFile(RepositoryToJson(repository), path, options);
 }
 
+Result<ProfileRepository> ParseRepositoryJson(std::string_view text) {
+  return RepositoryReader(text).Read();
+}
+
 Result<ProfileRepository> LoadRepositoryJson(const std::string& path) {
-  Result<json::Value> document = json::ParseFile(path);
-  if (!document.ok()) return document.status();
-  return RepositoryFromJson(document.value());
+  Result<std::string> text = util::ReadFile(path);
+  if (!text.ok()) return text.status();
+  return ParseRepositoryJson(text.value());
 }
 
 Status SaveRepositoryCsv(const ProfileRepository& repository,
@@ -178,7 +388,7 @@ Result<ProfileRepository> LoadRepositoryCsv(const std::string& path) {
     PropertyKind kind = PropertyKind::kScore;
     if (kind_col >= 0) {
       Result<PropertyKind> parsed =
-          ParseKind(row[static_cast<std::size_t>(kind_col)]);
+          ParsePropertyKind(row[static_cast<std::size_t>(kind_col)]);
       if (!parsed.ok()) return parsed.status();
       kind = parsed.value();
     }

@@ -1,6 +1,8 @@
 #ifndef PODIUM_UTIL_STRING_UTIL_H_
 #define PODIUM_UTIL_STRING_UTIL_H_
 
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,6 +35,16 @@ std::string StringPrintf(const char* format, ...)
 /// Renders a double with `digits` significant fraction digits, trimming
 /// trailing zeros ("0.25", "3", "0.333").
 std::string FormatDouble(double value, int digits = 4);
+
+/// Transparent hash for std::string-keyed unordered containers: paired
+/// with std::equal_to<>, find() and contains() take a std::string_view
+/// and build no temporary std::string.
+struct StringHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view text) const noexcept {
+    return std::hash<std::string_view>{}(text);
+  }
+};
 
 }  // namespace podium::util
 

@@ -5,7 +5,9 @@
 // customized path, and the serve-layer SelectionService all agree byte
 // for byte, and that EBS selections (full and restricted pools, random
 // tie order, and one served override) match the EBS oracle — then fuzzes
-// the JSON and HTTP parsers through their production entry points. Under --shard-sweep the sharded engine must
+// the JSON and HTTP parsers through their production entry points, and
+// the streaming profiles loader against the tree-built reference
+// (FuzzRepositoryJson). Under --shard-sweep the sharded engine must
 // match the oracle as well: the single-snapshot oracle at K=1, and at K>1
 // the oracle run over the union of the oracle's round-1 pools.
 //
@@ -102,7 +104,14 @@ int main(int argc, char** argv) {
               http_fuzz.iterations, http_fuzz.failures.size());
   PrintFailures("http-fuzz", http_fuzz.failures);
 
-  const bool ok = diff.ok() && json_fuzz.ok() && http_fuzz.ok();
+  const podium::check::FuzzReport loader_fuzz =
+      podium::check::FuzzRepositoryJson(options.seed, fuzz_iters);
+  std::printf("loader fuzz: %d iterations, %zu failures\n",
+              loader_fuzz.iterations, loader_fuzz.failures.size());
+  PrintFailures("loader-fuzz", loader_fuzz.failures);
+
+  const bool ok =
+      diff.ok() && json_fuzz.ok() && http_fuzz.ok() && loader_fuzz.ok();
   std::printf("%s\n", ok ? "OK" : "DIVERGENCE DETECTED");
   return ok ? EXIT_SUCCESS : EXIT_FAILURE;
 }

@@ -30,7 +30,7 @@
 //       Convert between the JSON and CSV repository formats (direction
 //       inferred from the file extensions).
 //
-// Profiles are read from JSON (see RepositoryFromJson) or CSV (long form)
+// Profiles are read from JSON (see ParseRepositoryJson) or CSV (long form)
 // depending on the extension.
 //
 // Every command accepts --threads=N to size the parallel execution

@@ -39,6 +39,8 @@
 // each request emits a JSON access-log line on stderr; every
 // --trace-log-every'th line also carries the request's span tree.
 
+#include <malloc.h>
+
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -105,6 +107,19 @@ void HandleSignal(int /*signum*/) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Pin glibc's allocator thresholds before anything allocates. Left
+  // alone, both start at 128 KiB and rise whenever a larger mmapped chunk
+  // is freed, so serving speed would hang on whatever the startup load
+  // and snapshot build happened to free. Each cache hit on an `explain`
+  // request copies its ~306 KiB reply twice (ResultCache::Get,
+  // SerializeResponse); held at 128 KiB, each copy is an mmap/munmap pair
+  // with fresh page faults: perfbench `hit` read 0.62-0.82 ms serial p99
+  // against 0.24-0.36 ms with this pin (seed 1, 4-core host). 32 MiB is
+  // glibc's largest mmap threshold; buffers above it (a profiles file
+  // being read) still come from mmap and go back to the system when
+  // freed. The trim threshold keeps up to 64 MiB of freed heap top.
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 64 << 20);
   // Serving binaries log requests; libraries default to warnings only.
   podium::obs::SetMinLogLevel(podium::obs::LogLevel::kInfo);
   podium::bench::Flags flags(argc, argv);

@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the hot paths: greedy selection
 // (scalar and EBS), group-index construction, the bucketizers, JSON
-// parsing, Jaccard distance, and CD-sim.
+// parsing, explain-reply serialization, Jaccard distance, and CD-sim.
 //
 // Custom main: all google-benchmark flags work as usual, plus
 //   --bench-out=PATH       write the run as a canonical BENCH_*.json perf
@@ -35,6 +35,7 @@
 #include "podium/json/writer.h"
 #include "podium/metrics/cd_sim.h"
 #include "podium/profile/repository_io.h"
+#include "podium/serve/request.h"
 #include "podium/util/rng.h"
 #include "podium/util/thread_pool.h"
 
@@ -317,6 +318,36 @@ void BM_ParseRepositoryJson(benchmark::State& state) {
                           static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_ParseRepositoryJson)->Unit(benchmark::kMillisecond);
+
+// An explain reply on the shared fixture: the outcome of a B-user greedy
+// selection, written with one exp(u) block per user straight from the
+// instance (arg = B).
+void BM_SerializeOutcomeExplain(benchmark::State& state) {
+  const DiversificationInstance& instance = SharedInstance();
+  const std::size_t budget = static_cast<std::size_t>(state.range(0));
+  const Selection selection = GreedySelector().Select(instance, budget).value();
+  serve::SelectionOutcome outcome;
+  outcome.budget = budget;
+  outcome.request.explain = true;
+  outcome.users = selection.users;
+  outcome.score = selection.score;
+  for (UserId u : outcome.users) {
+    outcome.names.push_back(instance.repository().user(u).name());
+  }
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string body = serve::SerializeOutcome(outcome, &instance);
+    bytes = body.size();
+    benchmark::DoNotOptimize(body.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_SerializeOutcomeExplain)
+    ->Arg(8)
+    ->Arg(64)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_JaccardDistance(benchmark::State& state) {
   const ProfileRepository& repo = SharedDataset().repository;

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -15,7 +16,6 @@
 #include "podium/core/greedy.h"
 #include "podium/core/kernels.h"
 #include "podium/datagen/generator.h"
-#include "podium/json/parser.h"
 #include "podium/serve/request.h"
 #include "podium/serve/service.h"
 #include "podium/shard/sharded_selector.h"
@@ -76,26 +76,26 @@ datagen::DatasetConfig MakeConfig(util::Rng& rng, std::uint64_t seed,
   return config;
 }
 
-/// Extracts the selected user ids from a serialized serve response body.
-Result<std::vector<UserId>> UsersFromBody(const std::string& body) {
-  Result<json::Value> document = json::Parse(body);
-  if (!document.ok()) return document.status();
-  if (!document->is_object()) {
-    return Status::ParseError("response body is not an object");
+/// A quote, a backslash, control bytes with and without a short escape,
+/// and two- and three-byte UTF-8.
+constexpr std::string_view kEscapedSuffix =
+    " \"q\\ \x01\t\x1f\n \xc3\xa9 \xe2\x9c\x93";
+
+/// `repository` with kEscapedSuffix appended to every user name and every
+/// property label; ids and scores unchanged.
+Result<ProfileRepository> WithEscapedNames(
+    const ProfileRepository& repository) {
+  ProfileRepository out;
+  const PropertyTable& properties = repository.properties();
+  for (PropertyId p = 0; p < properties.size(); ++p) {
+    out.properties().Intern(properties.Label(p) + std::string(kEscapedSuffix),
+                            properties.Kind(p));
   }
-  const json::Value* users = document->AsObject().Find("users");
-  if (users == nullptr || !users->is_array()) {
-    return Status::ParseError("response body has no users array");
-  }
-  std::vector<UserId> out;
-  out.reserve(users->AsArray().size());
-  for (const json::Value& entry : users->AsArray()) {
-    const json::Value* id =
-        entry.is_object() ? entry.AsObject().Find("id") : nullptr;
-    if (id == nullptr || !id->is_number()) {
-      return Status::ParseError("user entry has no numeric id");
-    }
-    out.push_back(static_cast<UserId>(id->AsNumber()));
+  for (UserId u = 0; u < repository.user_count(); ++u) {
+    const UserProfile& user = repository.user(u);
+    PODIUM_ASSIGN_OR_RETURN(
+        const UserId id, out.AddUser(user.name() + std::string(kEscapedSuffix)));
+    PODIUM_RETURN_IF_ERROR(out.SetScores(id, user.entries()));
   }
   return out;
 }
@@ -133,14 +133,64 @@ void CompareWithOracle(RoundLog& log, const char* what,
       UsersToString(oracle.users).c_str(), oracle.score));
 }
 
-/// Runs the serve path over `plan` and compares every response variant
-/// against the already-verified direct selections.
+/// The outcome the service must serialize for `request` (at the round's
+/// budget) on the round's snapshot, whose generation is the round seed,
+/// given the selection it must make.
+serve::SelectionOutcome ExpectedOutcome(const RoundLog& log,
+                                        const RoundPlan& plan,
+                                        const serve::SelectionRequest& request,
+                                        const Selection& selection,
+                                        const ProfileRepository& repository) {
+  serve::SelectionOutcome outcome;
+  outcome.snapshot_generation = log.seed;
+  outcome.request = request;
+  outcome.budget = plan.budget;
+  outcome.weight_kind =
+      request.weight_kind.value_or(plan.instance.weight_kind);
+  outcome.coverage_kind =
+      request.coverage_kind.value_or(plan.instance.coverage_kind);
+  outcome.users = selection.users;
+  outcome.score = selection.score;
+  for (UserId u : selection.users) {
+    outcome.names.push_back(repository.user(u).name());
+  }
+  return outcome;
+}
+
+/// A served body must equal the reference reply byte for byte. A
+/// divergence names the first differing byte and quotes both sides there.
+void CompareReply(RoundLog& log, const std::string& what,
+                  const Result<serve::ServiceReply>& reply,
+                  const std::string& reference) {
+  if (!reply.ok()) {
+    log.Diverge(what + " failed: " + reply.status().message());
+    return;
+  }
+  const std::string& body = reply->body;
+  if (body == reference) return;
+  const std::size_t at = static_cast<std::size_t>(
+      std::mismatch(body.begin(), body.end(), reference.begin(),
+                    reference.end())
+          .first -
+      body.begin());
+  const std::size_t from = at < 40 ? 0 : at - 40;
+  log.Diverge(util::StringPrintf(
+      "%s differs from the reference reply at byte %zu (%zu vs %zu bytes): "
+      "served ...%s... reference ...%s...",
+      what.c_str(), at, body.size(), reference.size(),
+      body.substr(from, 80).c_str(), reference.substr(from, 80).c_str()));
+}
+
+/// Runs the serve path over `plan` and diffs every served body against
+/// ReferenceReply over the already-verified direct selections.
 void CheckServePath(RoundLog& log, const datagen::Dataset& dataset,
                     const RoundPlan& plan, const Selection& oracle,
                     const DiversificationInstance& instance,
+                    const DiversificationInstance& ebs,
+                    const Selection& ebs_selection,
                     const Result<CustomSelection>& custom,
-                    const CustomizationFeedback& feedback,
-                    const std::vector<UserId>& ebs_users) {
+                    const CustomizationFeedback& feedback) {
+  const ProfileRepository& repository = dataset.repository;
   serve::SnapshotOptions snapshot_options;
   snapshot_options.instance = plan.instance;
   Result<std::shared_ptr<const serve::Snapshot>> snapshot =
@@ -182,15 +232,10 @@ void CheckServePath(RoundLog& log, const datagen::Dataset& dataset,
     if (direct->body != first->body) {
       log.Diverge("cache-disabled serve body differs from cached service");
     }
-    Result<std::vector<UserId>> served = UsersFromBody(first->body);
-    if (!served.ok()) {
-      log.Diverge("serve body unparseable: " + served.status().message());
-    } else if (served.value() != oracle.users) {
-      log.Diverge(util::StringPrintf(
-          "serve selected %s, oracle %s",
-          UsersToString(served.value()).c_str(),
-          UsersToString(oracle.users).c_str()));
-    }
+    CompareReply(log, "serve default reply", first,
+                 ReferenceReply(
+                     ExpectedOutcome(log, plan, request, oracle, repository),
+                     nullptr));
   }
 
   // Single-flight: N identical requests against a cold key, issued
@@ -233,35 +278,17 @@ void CheckServePath(RoundLog& log, const datagen::Dataset& dataset,
           "(want 1)",
           admissions.load(), kCallers));
     }
+    const std::string reference = ReferenceReply(
+        ExpectedOutcome(log, plan, request, oracle, repository), nullptr);
     std::size_t shared = 0;
     for (std::size_t i = 0; i < kCallers; ++i) {
-      if (!replies[i].has_value() || !replies[i]->ok()) {
-        log.Diverge(
-            "single-flight Select failed: " +
-            (replies[i].has_value() ? replies[i]->status().message()
-                                    : std::string("reply never arrived")));
+      if (!replies[i].has_value()) {
+        log.Diverge("single-flight reply never arrived");
         continue;
       }
-      const serve::ServiceReply& reply = replies[i]->value();
-      if (reply.coalesced) ++shared;
-      Result<std::vector<UserId>> served = UsersFromBody(reply.body);
-      if (!served.ok()) {
-        log.Diverge("single-flight body unparseable: " +
-                    served.status().message());
-      } else if (served.value() != oracle.users) {
-        log.Diverge(util::StringPrintf(
-            "single-flight caller %zu selected %s, oracle %s", i,
-            UsersToString(served.value()).c_str(),
-            UsersToString(oracle.users).c_str()));
-      }
-      for (std::size_t j = 0; j < i; ++j) {
-        if (replies[j].has_value() && replies[j]->ok() &&
-            replies[j]->value().body != reply.body) {
-          log.Diverge(util::StringPrintf(
-              "single-flight bodies diverge between callers %zu and %zu", j,
-              i));
-        }
-      }
+      if (replies[i]->ok() && replies[i]->value().coalesced) ++shared;
+      CompareReply(log, util::StringPrintf("single-flight caller %zu", i),
+                   *replies[i], reference);
     }
     if (shared != kCallers - 1) {
       log.Diverge(util::StringPrintf(
@@ -270,25 +297,48 @@ void CheckServePath(RoundLog& log, const datagen::Dataset& dataset,
     }
   }
 
-  // An EBS override through the wire: the service builds its own EBS
-  // instance over the snapshot's groups, which must select what the
-  // direct selector did on the round's EBS instance.
-  {
-    serve::SelectionRequest request;
-    request.budget = plan.budget;
-    request.weight_kind = WeightKind::kEbs;
-    request.coverage_kind = plan.instance.coverage_kind;
-    Result<serve::ServiceReply> reply = uncached.Select(request);
-    Result<std::vector<UserId>> served =
-        reply.ok() ? UsersFromBody(reply->body)
-                   : Result<std::vector<UserId>>(reply.status());
-    if (!served.ok()) {
-      log.Diverge("serve EBS Select failed: " + served.status().message());
-    } else if (served.value() != ebs_users) {
-      log.Diverge(util::StringPrintf(
-          "serve EBS selected %s, direct selector %s",
-          UsersToString(served.value()).c_str(),
-          UsersToString(ebs_users).c_str()));
+  // Weight overrides through the wire, plain and explained: the service
+  // builds its own instance over the snapshot's groups, which must select
+  // and explain what the round's instances do. Iden and LBS selections
+  // come from the oracle; EBS from the direct selector, already checked
+  // against OracleEbsGreedy. Saturated EBS weights and scores print null.
+  // Under Iden every weight ties, so group order is groups_of order.
+  for (const WeightKind kind :
+       {WeightKind::kIden, WeightKind::kLbs, WeightKind::kEbs}) {
+    const std::string name(WeightKindName(kind));
+    const DiversificationInstance* explain = &ebs;
+    Selection selection = ebs_selection;
+    DiversificationInstance scalar;
+    if (kind != WeightKind::kEbs) {
+      Result<DiversificationInstance> built =
+          DiversificationInstance::FromGroups(repository, instance.groups(),
+                                              kind,
+                                              plan.instance.coverage_kind,
+                                              plan.budget);
+      Result<Selection> selected =
+          built.ok() ? OracleGreedy(built.value(), plan.budget)
+                     : Result<Selection>(built.status());
+      if (!selected.ok()) {
+        log.Diverge(name + " reference selection failed: " +
+                    selected.status().message());
+        continue;
+      }
+      scalar = std::move(built).value();
+      selection = std::move(selected).value();
+      explain = &scalar;
+    }
+    for (const bool explained : {false, true}) {
+      serve::SelectionRequest request;
+      request.budget = plan.budget;
+      request.weight_kind = kind;
+      request.coverage_kind = plan.instance.coverage_kind;
+      request.explain = explained;
+      CompareReply(
+          log, "serve " + name + (explained ? " explain" : "") + " override",
+          uncached.Select(request),
+          ReferenceReply(
+              ExpectedOutcome(log, plan, request, selection, repository),
+              explain));
     }
   }
 
@@ -302,22 +352,12 @@ void CheckServePath(RoundLog& log, const datagen::Dataset& dataset,
     for (GroupId g : feedback.must_not) {
       request.must_not.push_back(instance.groups().label(g));
     }
-    Result<serve::ServiceReply> reply = uncached.Select(request);
-    if (!reply.ok()) {
-      log.Diverge("serve customized Select failed: " +
-                  reply.status().message());
-      return;
-    }
-    Result<std::vector<UserId>> served = UsersFromBody(reply->body);
-    if (!served.ok()) {
-      log.Diverge("serve customized body unparseable: " +
-                  served.status().message());
-    } else if (served.value() != custom->selection.users) {
-      log.Diverge(util::StringPrintf(
-          "serve customized selected %s, SelectCustomized %s",
-          UsersToString(served.value()).c_str(),
-          UsersToString(custom->selection.users).c_str()));
-    }
+    serve::SelectionOutcome outcome =
+        ExpectedOutcome(log, plan, request, custom->selection, repository);
+    outcome.custom_score = custom->score;
+    outcome.refined_pool_size = custom->refined_pool_size;
+    CompareReply(log, "serve customized reply", uncached.Select(request),
+                 ReferenceReply(outcome, nullptr));
   }
 }
 
@@ -538,16 +578,10 @@ void CheckShardedPath(RoundLog& log, const datagen::Dataset& dataset,
         log.Diverge(tag + ": sharded serve cache replay is not byte-"
                           "identical to the original response");
       }
-      Result<std::vector<UserId>> served = UsersFromBody(first->body);
-      if (!served.ok()) {
-        log.Diverge(tag + ": sharded serve body unparseable: " +
-                    served.status().message());
-      } else if (served.value() != reference->users) {
-        log.Diverge(util::StringPrintf(
-            "%s: serve selected %s, direct selector %s", tag.c_str(),
-            UsersToString(served.value()).c_str(),
-            UsersToString(reference->users).c_str()));
-      }
+      const serve::SelectionOutcome expected = ExpectedOutcome(
+          log, plan, request, *reference, dataset.repository);
+      CompareReply(log, tag + ": sharded serve reply", first,
+                   ReferenceReply(expected, nullptr));
       serve::SelectionRequest explain_request;
       explain_request.budget = plan.budget;
       explain_request.explain = true;
@@ -566,9 +600,8 @@ void CheckShardedPath(RoundLog& log, const datagen::Dataset& dataset,
 /// must select exactly what OracleEbsGreedy does on the full pool, on two
 /// restricted pools and under a random tie_break_order. Returns the
 /// full-pool selection at the round's budget, for the serve check.
-std::vector<UserId> CheckEbsGreedy(RoundLog& log,
-                                   const DiversificationInstance& ebs,
-                                   const std::vector<std::size_t>& budgets) {
+Selection CheckEbsGreedy(RoundLog& log, const DiversificationInstance& ebs,
+                         const std::vector<std::size_t>& budgets) {
   // A stream of its own, so the scalar legs draw what they always drew.
   util::Rng rng(log.seed ^ 0x4542530000000000ULL);
   const std::size_t num_users = ebs.repository().user_count();
@@ -604,7 +637,7 @@ std::vector<UserId> CheckEbsGreedy(RoundLog& log,
                       {"restricted pool", half, {}},
                       {"small pool", few, {}},
                       {"random tie order", {}, order}};
-  std::vector<UserId> served_reference;
+  Selection served_reference;
   for (const std::size_t budget : budgets) {
     for (const Leg& leg : legs) {
       GreedyOptions options;
@@ -629,7 +662,7 @@ std::vector<UserId> CheckEbsGreedy(RoundLog& log,
       }
       if (budget == budgets.front() && leg.pool.empty() &&
           leg.tie_order.empty()) {
-        served_reference = greedy->users;
+        served_reference = greedy.value();
       }
     }
   }
@@ -653,6 +686,17 @@ void RunRound(RoundLog& log, const DiffOptions& options, int round) {
   if (!dataset.ok()) {
     log.Diverge("datagen failed: " + dataset.status().message());
     return;
+  }
+  // Every fourth seed renames its users and properties, and so its group
+  // labels, to hold bytes every served reply must escape as the reference
+  // does.
+  if (log.seed % 4 == 2) {
+    Result<ProfileRepository> escaped = WithEscapedNames(dataset->repository);
+    if (!escaped.ok()) {
+      log.Diverge("renaming failed: " + escaped.status().message());
+      return;
+    }
+    dataset->repository = std::move(escaped).value();
   }
   Result<DiversificationInstance> instance =
       DiversificationInstance::Build(dataset->repository, plan.instance);
@@ -703,8 +747,7 @@ void RunRound(RoundLog& log, const DiffOptions& options, int round) {
     log.Diverge("EBS instance build failed: " + ebs.status().message());
     return;
   }
-  const std::vector<UserId> ebs_users =
-      CheckEbsGreedy(log, ebs.value(), budgets);
+  const Selection ebs_selection = CheckEbsGreedy(log, ebs.value(), budgets);
 
   // Customized path: a random priority group and (sometimes) a must_not
   // filter; at every budget the selection must match the oracle run over
@@ -787,7 +830,8 @@ void RunRound(RoundLog& log, const DiffOptions& options, int round) {
 
   if (options.with_serve) {
     CheckServePath(log, dataset.value(), plan, oracles.front(),
-                   instance.value(), custom, feedback, ebs_users);
+                   instance.value(), ebs.value(), ebs_selection, custom,
+                   feedback);
   }
 
   if (!options.shard_counts.empty()) {

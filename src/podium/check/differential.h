@@ -26,7 +26,9 @@ struct DiffOptions {
   bool sweep_kernel_variants = true;
 
   /// Drive the serve-layer SelectionService (with and without the result
-  /// cache) and compare its responses against the oracle selection.
+  /// cache) and diff its reply bodies byte for byte against
+  /// check::ReferenceReply over the oracle selections: default, weight
+  /// overrides plain and explained, and customized.
   bool with_serve = true;
 
   /// For each K here, build a sharded snapshot over the round's dataset

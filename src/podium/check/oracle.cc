@@ -4,6 +4,7 @@
 #include <functional>
 #include <utility>
 
+#include "podium/json/writer.h"
 #include "podium/util/string_util.h"
 
 namespace podium::check {
@@ -274,6 +275,91 @@ Result<ProfileRepository> RepositoryFromJson(const json::Value& document) {
     }
   }
   return repository;
+}
+
+namespace {
+
+json::Value LabelArray(const std::vector<std::string>& labels) {
+  json::Array out;
+  out.reserve(labels.size());
+  for (const std::string& label : labels) out.emplace_back(label);
+  return json::Value(std::move(out));
+}
+
+/// exp(u) for every selected user: {"name", "groups": [{"label", "weight",
+/// "cov"}, ...]}, each group list stably sorted by decreasing weight.
+json::Value ReferenceExplanations(const DiversificationInstance& instance,
+                                  const std::vector<UserId>& users) {
+  struct Entry {
+    std::string label;
+    double weight;
+    std::uint32_t cov;
+  };
+  json::Array out;
+  for (UserId u : users) {
+    const UserProfile& profile = instance.repository().user(u);
+    std::vector<Entry> entries;
+    for (GroupId g = 0; g < instance.groups().group_count(); ++g) {
+      const GroupDef& def = instance.groups().def(g);
+      const auto score = profile.Get(def.property);
+      if (!score.has_value() || !def.bucket.Contains(*score)) continue;
+      entries.push_back(Entry{def.label, instance.weight(g),
+                              instance.coverage(g)});
+    }
+    std::stable_sort(entries.begin(), entries.end(),
+                     [](const Entry& a, const Entry& b) {
+                       return a.weight > b.weight;
+                     });
+    json::Array groups;
+    for (const Entry& entry : entries) {
+      json::Object group;
+      group.Set("label", json::Value(entry.label));
+      group.Set("weight", json::Value(entry.weight));
+      group.Set("cov", json::Value(static_cast<double>(entry.cov)));
+      groups.emplace_back(std::move(group));
+    }
+    json::Object user;
+    user.Set("name", json::Value(profile.name()));
+    user.Set("groups", json::Value(std::move(groups)));
+    out.emplace_back(std::move(user));
+  }
+  return json::Value(std::move(out));
+}
+
+}  // namespace
+
+std::string ReferenceReply(const serve::SelectionOutcome& outcome,
+                           const DiversificationInstance* explain) {
+  json::Object root;
+  root.Set("snapshot_generation",
+           json::Value(static_cast<double>(outcome.snapshot_generation)));
+  root.Set("budget", json::Value(outcome.budget));
+  root.Set("selector", json::Value(serve::kSelectorName));
+  root.Set("weights", json::Value(WeightKindName(outcome.weight_kind)));
+  root.Set("coverage", json::Value(CoverageKindName(outcome.coverage_kind)));
+  root.Set("must_have", LabelArray(outcome.request.must_have));
+  root.Set("must_not", LabelArray(outcome.request.must_not));
+  root.Set("priority", LabelArray(outcome.request.priority));
+  root.Set("score", json::Value(outcome.score));
+  if (outcome.custom_score.has_value()) {
+    json::Object custom;
+    custom.Set("priority_score", json::Value(outcome.custom_score->priority));
+    custom.Set("standard_score", json::Value(outcome.custom_score->standard));
+    custom.Set("refined_pool", json::Value(outcome.refined_pool_size));
+    root.Set("custom", json::Value(std::move(custom)));
+  }
+  json::Array users;
+  for (std::size_t i = 0; i < outcome.users.size(); ++i) {
+    json::Object user;
+    user.Set("id", json::Value(static_cast<double>(outcome.users[i])));
+    user.Set("name", json::Value(outcome.names[i]));
+    users.emplace_back(std::move(user));
+  }
+  root.Set("users", json::Value(std::move(users)));
+  if (outcome.request.explain && explain != nullptr) {
+    root.Set("explanations", ReferenceExplanations(*explain, outcome.users));
+  }
+  return json::Write(json::Value(std::move(root)));
 }
 
 }  // namespace podium::check

@@ -3,12 +3,14 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "podium/core/instance.h"
 #include "podium/core/selection.h"
 #include "podium/json/value.h"
 #include "podium/profile/repository.h"
+#include "podium/serve/request.h"
 #include "podium/util/result.h"
 
 namespace podium::check {
@@ -82,6 +84,16 @@ Result<std::vector<UserId>> OracleEbsGreedy(
 /// that ParseRepositoryJson's single streaming pass must equal, as the
 /// same repository or the same error.
 Result<ProfileRepository> RepositoryFromJson(const json::Value& document);
+
+/// The selection reply body as the serve layer wrote it while replies were
+/// json::Value trees: the whole document built as one tree, then written
+/// by json::Write. When outcome.request.explain and `explain` is set, each
+/// selected user gets an exp(u) block from `explain`: its groups found from
+/// the group definitions (not the CSR), ordered by this function's own
+/// stable sort on decreasing weight. The reference that
+/// serve::SerializeOutcome's streamed bytes must equal.
+std::string ReferenceReply(const serve::SelectionOutcome& outcome,
+                           const DiversificationInstance* explain);
 
 }  // namespace podium::check
 

@@ -1,6 +1,7 @@
 #include "podium/core/explanation.h"
 
 #include <algorithm>
+#include <span>
 
 #include "podium/core/score.h"
 #include "podium/util/string_util.h"
@@ -13,18 +14,25 @@ GroupExplanation ExplainGroup(const DiversificationInstance& instance,
                           instance.weight(group), instance.coverage(group)};
 }
 
+std::vector<GroupId> GroupsByWeight(const DiversificationInstance& instance,
+                                    UserId user) {
+  const std::span<const GroupId> of = instance.groups().groups_of(user);
+  std::vector<GroupId> groups(of.begin(), of.end());
+  std::stable_sort(groups.begin(), groups.end(),
+                   [&instance](GroupId a, GroupId b) {
+                     return instance.weight(a) > instance.weight(b);
+                   });
+  return groups;
+}
+
 UserExplanation ExplainUser(const DiversificationInstance& instance,
                             UserId user) {
   UserExplanation explanation;
   explanation.user = user;
   explanation.name = instance.repository().user(user).name();
-  for (GroupId g : instance.groups().groups_of(user)) {
+  for (GroupId g : GroupsByWeight(instance, user)) {
     explanation.groups.push_back(ExplainGroup(instance, g));
   }
-  std::stable_sort(explanation.groups.begin(), explanation.groups.end(),
-                   [](const GroupExplanation& a, const GroupExplanation& b) {
-                     return a.weight > b.weight;
-                   });
   return explanation;
 }
 

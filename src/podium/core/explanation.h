@@ -41,6 +41,10 @@ struct SubsetGroupExplanation {
 
 GroupExplanation ExplainGroup(const DiversificationInstance& instance,
                               GroupId group);
+/// The groups of `user`, in the order exp(u) lists them: by decreasing
+/// weight, ties in groups_of(user) order (a stable sort).
+std::vector<GroupId> GroupsByWeight(const DiversificationInstance& instance,
+                                    UserId user);
 UserExplanation ExplainUser(const DiversificationInstance& instance,
                             UserId user);
 SubsetGroupExplanation ExplainSubsetGroup(

@@ -1,74 +1,14 @@
 #include "podium/json/writer.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 #include <fstream>
+#include <iterator>
 
 namespace podium::json {
 
 namespace {
-
-void AppendEscaped(const std::string& s, std::string& out) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);  // UTF-8 bytes pass through unescaped.
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-void AppendNumber(double value, std::string& out) {
-  if (std::isnan(value) || std::isinf(value)) {
-    // JSON has no NaN/Inf; emit null, the conventional lossy fallback.
-    out += "null";
-    return;
-  }
-  // Integers within double-exact range print without a fraction.
-  if (value == std::floor(value) && std::fabs(value) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", value);
-    out += buf;
-    return;
-  }
-  // %.17g always round-trips; try %.15g first for compactness.
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.15g", value);
-  if (std::strtod(buf, nullptr) != value) {
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-  }
-  out += buf;
-}
 
 class Writer {
  public:
@@ -145,6 +85,76 @@ class Writer {
 };
 
 }  // namespace
+
+void AppendEscaped(std::string_view text, std::string& out) {
+  out.push_back('"');
+  // Bytes that need no escape are appended a run at a time.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\b':
+        out += "\\b";
+        break;
+      case '\f':
+        out += "\\f";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xf]};
+        out.append(escape, sizeof(escape));
+      }
+    }
+  }
+  out.append(text.data() + run, text.size() - run);
+  out.push_back('"');
+}
+
+void AppendNumber(double value, std::string& out) {
+  if (!std::isfinite(value)) {
+    out += "null";
+    return;
+  }
+  char buf[32];
+  char* end = buf;
+  if (value == std::floor(value) && std::fabs(value) < 1e15) {
+    if (value == 0 && std::signbit(value)) *end++ = '-';
+    end = std::to_chars(end, std::end(buf), static_cast<std::int64_t>(value))
+              .ptr;
+  } else {
+    // to_chars with a precision prints what printf's %.*g prints.
+    end = std::to_chars(buf, std::end(buf), value, std::chars_format::general,
+                        15)
+              .ptr;
+    double back = 0.0;
+    const std::from_chars_result read = std::from_chars(buf, end, back);
+    if (read.ec != std::errc() || back != value) {
+      end = std::to_chars(buf, std::end(buf), value,
+                          std::chars_format::general, 17)
+                .ptr;
+    }
+  }
+  out.append(buf, end);
+}
 
 std::string Write(const Value& value, const WriteOptions& options) {
   Writer writer(options);

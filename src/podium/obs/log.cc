@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "podium/json/value.h"
 #include "podium/json/writer.h"
 #include "podium/util/string_util.h"
 
@@ -33,14 +32,6 @@ void DefaultSink(std::string_view line) {
   out += '\n';
   std::fwrite(out.data(), 1, out.size(), stderr);
 }
-
-/// Serializes a value through the JSON writer so escaping (quotes,
-/// control characters, UTF-8 passthrough) matches the rest of the repo.
-std::string JsonString(std::string_view text) {
-  return json::Write(json::Value(text));
-}
-
-std::string JsonNumber(double value) { return json::Write(json::Value(value)); }
 
 double UnixSeconds() {
   return std::chrono::duration<double>(
@@ -112,23 +103,32 @@ LogEntry::LogEntry(LogLevel level, std::string_view message)
   if (enabled_) message_ = std::string(message);
 }
 
+void LogEntry::AppendKey(std::string_view key) {
+  fields_ += ", ";
+  json::AppendEscaped(key, fields_);
+  fields_ += ": ";
+}
+
 LogEntry& LogEntry::Str(std::string_view key, std::string_view value) {
   if (enabled_) {
-    fields_.push_back(Field{std::string(key), JsonString(value)});
+    AppendKey(key);
+    json::AppendEscaped(value, fields_);
   }
   return *this;
 }
 
 LogEntry& LogEntry::Num(std::string_view key, double value) {
   if (enabled_) {
-    fields_.push_back(Field{std::string(key), JsonNumber(value)});
+    AppendKey(key);
+    json::AppendNumber(value, fields_);
   }
   return *this;
 }
 
 LogEntry& LogEntry::Bool(std::string_view key, bool value) {
   if (enabled_) {
-    fields_.push_back(Field{std::string(key), value ? "true" : "false"});
+    AppendKey(key);
+    fields_ += value ? "true" : "false";
   }
   return *this;
 }
@@ -150,23 +150,18 @@ LogEntry& LogEntry::RateLimit(LogRateLimiter& limiter) {
 LogEntry::~LogEntry() {
   if (!enabled_ || dropped_) return;
   std::string line;
-  line.reserve(96);
+  line.reserve(96 + fields_.size());
   line += "{\"ts\": ";
   line += util::StringPrintf("%.3f", UnixSeconds());
   line += ", \"level\": ";
-  line += JsonString(LogLevelName(level_));
+  json::AppendEscaped(LogLevelName(level_), line);
   line += ", \"msg\": ";
-  line += JsonString(message_);
+  json::AppendEscaped(message_, line);
   if (suppressed_ > 0) {
     line += ", \"suppressed\": ";
-    line += JsonNumber(static_cast<double>(suppressed_));
+    json::AppendNumber(static_cast<double>(suppressed_), line);
   }
-  for (const Field& field : fields_) {
-    line += ", ";
-    line += JsonString(field.key);
-    line += ": ";
-    line += field.json_value;
-  }
+  line += fields_;
   line += "}";
 
   util::MutexLock lock(SinkMutex());

@@ -7,7 +7,6 @@
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "podium/util/mutex.h"
 #include "podium/util/thread_annotations.h"
@@ -80,7 +79,8 @@ class LogRateLimiter {
 ///       .Str("path", "/v1/select").Num("status", 200)
 ///       .TraceId(trace_hex);
 ///
-/// Field values are escaped by the JSON writer, so messages may contain
+/// Field values are escaped by the JSON writer's formatters
+/// (json::AppendEscaped / AppendNumber), so messages may contain
 /// quotes, control characters or non-ASCII bytes. A statement below the
 /// minimum level costs one atomic load and builds nothing.
 class LogEntry {
@@ -102,17 +102,16 @@ class LogEntry {
   bool enabled() const { return enabled_; }
 
  private:
-  struct Field {
-    std::string key;
-    std::string json_value;  // pre-serialized (escaped string or number)
-  };
+  /// Appends `, "key": ` to fields_; the caller appends the value.
+  void AppendKey(std::string_view key);
 
   bool enabled_;
   bool dropped_ = false;
   LogLevel level_;
   std::string message_;
   std::uint64_t suppressed_ = 0;
-  std::vector<Field> fields_;
+  /// The fields so far, serialized: `, "key": value` each.
+  std::string fields_;
 };
 
 /// Shorthand constructors, matching the fluent style above.

@@ -1,8 +1,10 @@
 #include "podium/serve/request.h"
 
 #include <cmath>
+#include <string_view>
 #include <utility>
 
+#include "podium/core/explanation.h"
 #include "podium/json/writer.h"
 #include "podium/util/string_util.h"
 
@@ -38,11 +40,56 @@ Result<std::size_t> NonNegativeInt(const json::Value& value, const char* key,
   return static_cast<std::size_t>(n);
 }
 
-json::Value LabelArray(const std::vector<std::string>& labels) {
-  json::Array out;
-  out.reserve(labels.size());
-  for (const std::string& label : labels) out.emplace_back(label);
-  return json::Value(std::move(out));
+void AppendLabels(const std::vector<std::string>& labels, std::string& out) {
+  out.push_back('[');
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    json::AppendEscaped(labels[i], out);
+  }
+  out.push_back(']');
+}
+
+/// The reply up to its explanations: "{" through the users array, in the
+/// fixed key order, without the closing brace.
+std::string ReplyHead(const SelectionOutcome& outcome) {
+  std::string out = "{\"snapshot_generation\":";
+  json::AppendNumber(static_cast<double>(outcome.snapshot_generation), out);
+  out += ",\"budget\":";
+  json::AppendNumber(static_cast<double>(outcome.budget), out);
+  out += ",\"selector\":";
+  json::AppendEscaped(kSelectorName, out);
+  out += ",\"weights\":";
+  json::AppendEscaped(WeightKindName(outcome.weight_kind), out);
+  out += ",\"coverage\":";
+  json::AppendEscaped(CoverageKindName(outcome.coverage_kind), out);
+  out += ",\"must_have\":";
+  AppendLabels(outcome.request.must_have, out);
+  out += ",\"must_not\":";
+  AppendLabels(outcome.request.must_not, out);
+  out += ",\"priority\":";
+  AppendLabels(outcome.request.priority, out);
+  out += ",\"score\":";
+  json::AppendNumber(outcome.score, out);
+  if (outcome.custom_score.has_value()) {
+    out += ",\"custom\":{\"priority_score\":";
+    json::AppendNumber(outcome.custom_score->priority, out);
+    out += ",\"standard_score\":";
+    json::AppendNumber(outcome.custom_score->standard, out);
+    out += ",\"refined_pool\":";
+    json::AppendNumber(static_cast<double>(outcome.refined_pool_size), out);
+    out.push_back('}');
+  }
+  out += ",\"users\":[";
+  for (std::size_t i = 0; i < outcome.users.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    out += "{\"id\":";
+    json::AppendNumber(static_cast<double>(outcome.users[i]), out);
+    out += ",\"name\":";
+    json::AppendEscaped(outcome.names[i], out);
+    out.push_back('}');
+  }
+  out.push_back(']');
+  return out;
 }
 
 }  // namespace
@@ -105,58 +152,71 @@ Result<SelectionRequest> SelectionRequestFromJson(
 
 std::string CanonicalRequestKey(std::uint64_t generation,
                                 const SelectionRequest& request) {
-  json::Object key;
-  key.Set("gen", json::Value(static_cast<double>(generation)));
-  key.Set("budget", json::Value(request.budget));
-  key.Set("weights",
-          json::Value(request.weight_kind.has_value()
-                          ? std::string(WeightKindName(*request.weight_kind))
-                          : std::string()));
-  key.Set("coverage",
-          json::Value(request.coverage_kind.has_value()
-                          ? std::string(
-                                CoverageKindName(*request.coverage_kind))
-                          : std::string()));
-  key.Set("must_have", LabelArray(request.must_have));
-  key.Set("must_not", LabelArray(request.must_not));
-  key.Set("priority", LabelArray(request.priority));
-  key.Set("explain", json::Value(request.explain));
-  return json::Write(json::Value(std::move(key)));
+  std::string key = "{\"gen\":";
+  json::AppendNumber(static_cast<double>(generation), key);
+  key += ",\"budget\":";
+  json::AppendNumber(static_cast<double>(request.budget), key);
+  key += ",\"weights\":";
+  json::AppendEscaped(request.weight_kind.has_value()
+                          ? WeightKindName(*request.weight_kind)
+                          : std::string_view(),
+                      key);
+  key += ",\"coverage\":";
+  json::AppendEscaped(request.coverage_kind.has_value()
+                          ? CoverageKindName(*request.coverage_kind)
+                          : std::string_view(),
+                      key);
+  key += ",\"must_have\":";
+  AppendLabels(request.must_have, key);
+  key += ",\"must_not\":";
+  AppendLabels(request.must_not, key);
+  key += ",\"priority\":";
+  AppendLabels(request.priority, key);
+  key += ",\"explain\":";
+  key += request.explain ? "true" : "false";
+  key.push_back('}');
+  return key;
+}
+
+std::string SerializeOutcome(const SelectionOutcome& outcome,
+                             const DiversificationInstance* explain) {
+  std::string out = ReplyHead(outcome);
+  if (outcome.request.explain && explain != nullptr) {
+    out += ",\"explanations\":[";
+    for (std::size_t i = 0; i < outcome.users.size(); ++i) {
+      if (i > 0) out.push_back(',');
+      const UserId user = outcome.users[i];
+      out += "{\"name\":";
+      json::AppendEscaped(explain->repository().user(user).name(), out);
+      out += ",\"groups\":[";
+      const std::vector<GroupId> groups = GroupsByWeight(*explain, user);
+      for (std::size_t j = 0; j < groups.size(); ++j) {
+        if (j > 0) out.push_back(',');
+        out += "{\"label\":";
+        json::AppendEscaped(explain->groups().label(groups[j]), out);
+        out += ",\"weight\":";
+        json::AppendNumber(explain->weight(groups[j]), out);
+        out += ",\"cov\":";
+        json::AppendNumber(static_cast<double>(explain->coverage(groups[j])),
+                           out);
+        out.push_back('}');
+      }
+      out += "]}";
+    }
+    out.push_back(']');
+  }
+  out.push_back('}');
+  return out;
 }
 
 std::string SerializeOutcome(const SelectionOutcome& outcome) {
-  json::Object root;
-  root.Set("snapshot_generation",
-           json::Value(static_cast<double>(outcome.snapshot_generation)));
-  root.Set("budget", json::Value(outcome.budget));
-  root.Set("selector", json::Value(kSelectorName));
-  root.Set("weights", json::Value(WeightKindName(outcome.weight_kind)));
-  root.Set("coverage", json::Value(CoverageKindName(outcome.coverage_kind)));
-  root.Set("must_have", LabelArray(outcome.request.must_have));
-  root.Set("must_not", LabelArray(outcome.request.must_not));
-  root.Set("priority", LabelArray(outcome.request.priority));
-  root.Set("score", json::Value(outcome.score));
-  if (outcome.custom_score.has_value()) {
-    json::Object custom;
-    custom.Set("priority_score", json::Value(outcome.custom_score->priority));
-    custom.Set("standard_score", json::Value(outcome.custom_score->standard));
-    custom.Set("refined_pool",
-               json::Value(outcome.refined_pool_size));
-    root.Set("custom", json::Value(std::move(custom)));
-  }
-  json::Array users;
-  users.reserve(outcome.users.size());
-  for (std::size_t i = 0; i < outcome.users.size(); ++i) {
-    json::Object user;
-    user.Set("id", json::Value(static_cast<double>(outcome.users[i])));
-    user.Set("name", json::Value(outcome.names[i]));
-    users.emplace_back(std::move(user));
-  }
-  root.Set("users", json::Value(std::move(users)));
+  std::string out = ReplyHead(outcome);
   if (outcome.request.explain && outcome.explanations.is_array()) {
-    root.Set("explanations", outcome.explanations);
+    out += ",\"explanations\":";
+    out += json::Write(outcome.explanations);
   }
-  return json::Write(json::Value(std::move(root)));
+  out.push_back('}');
+  return out;
 }
 
 }  // namespace podium::serve

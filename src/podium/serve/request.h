@@ -8,6 +8,7 @@
 
 #include "podium/core/customization.h"
 #include "podium/core/greedy.h"
+#include "podium/core/instance.h"
 #include "podium/groups/coverage.h"
 #include "podium/groups/weight.h"
 #include "podium/json/value.h"
@@ -63,9 +64,9 @@ inline constexpr std::string_view kSelectorName = "greedy";
 std::string CanonicalRequestKey(std::uint64_t generation,
                                 const SelectionRequest& request);
 
-/// The outcome of a selection: the chosen users with scores and optional
-/// explanations, plus the effective configuration the request resolved to
-/// (so clients can verify the round trip exactly).
+/// The outcome of a selection: the chosen users with scores, plus the
+/// effective configuration the request resolved to (so clients can verify
+/// the round trip exactly).
 struct SelectionOutcome {
   std::uint64_t snapshot_generation = 0;
   /// The effective (post-default) configuration.
@@ -82,14 +83,24 @@ struct SelectionOutcome {
   std::optional<DualScore> custom_score;
   std::size_t refined_pool_size = 0;
 
-  /// Per-user explanation blocks when request.explain; shaped like the
-  /// CLI's --json output (label, weight, cov per group).
+  /// Explanation blocks as a prebuilt tree, read only by the one-argument
+  /// SerializeOutcome. The service never sets it; it streams the blocks
+  /// from the instance instead.
   json::Value explanations;  // array or null
 };
 
 /// Serializes an outcome as the deterministic response body: fixed key
 /// order, no timing fields (timings travel in HTTP headers so cached
-/// responses stay byte-identical).
+/// responses stay byte-identical). Written straight into one string.
+/// When request.explain and `explain` is set, each selected user gets an
+/// exp(u) block of Def. 5.1 from `explain`, the instance it was selected
+/// on: {"name", "groups": [{"label", "weight", "cov"}, ...]}, groups in
+/// GroupsByWeight order.
+std::string SerializeOutcome(const SelectionOutcome& outcome,
+                             const DiversificationInstance* explain);
+
+/// The same body with outcome.explanations, when request.explain and it is
+/// an array, written through json::Write as the "explanations" value.
 std::string SerializeOutcome(const SelectionOutcome& outcome);
 
 }  // namespace podium::serve

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "podium/core/explanation.h"
 #include "podium/obs/metrics.h"
 #include "podium/obs/trace.h"
 #include "podium/shard/sharded_selector.h"
@@ -42,30 +41,6 @@ Result<std::vector<GroupId>> ResolveLabels(
     groups.push_back(group.value());
   }
   return groups;
-}
-
-json::Value BuildExplanations(const DiversificationInstance& instance,
-                              const std::vector<UserId>& users) {
-  json::Array out;
-  out.reserve(users.size());
-  for (UserId u : users) {
-    const UserExplanation explanation = ExplainUser(instance, u);
-    json::Object user;
-    user.Set("name", json::Value(explanation.name));
-    json::Array groups;
-    groups.reserve(explanation.groups.size());
-    for (const GroupExplanation& g : explanation.groups) {
-      json::Object group;
-      group.Set("label", json::Value(g.label));
-      group.Set("weight", json::Value(g.weight));
-      group.Set("cov",
-                json::Value(static_cast<double>(g.required_coverage)));
-      groups.emplace_back(std::move(group));
-    }
-    user.Set("groups", json::Value(std::move(groups)));
-    out.emplace_back(std::move(user));
-  }
-  return json::Value(std::move(out));
 }
 
 }  // namespace
@@ -202,7 +177,8 @@ Result<ServiceReply> SelectionService::Select(const SelectionRequest& request) {
       reply.run_seconds = run_span.ElapsedSeconds();
       return run;
     }();
-    if (body.ok()) cache_.Put(key, body.value());
+    // Put takes its body by value: with the cache off, skip the copy.
+    if (body.ok() && cache_.capacity() > 0) cache_.Put(key, body.value());
     return body;
   });
 
@@ -354,10 +330,7 @@ Result<std::string> SelectionService::RunSelection(
   for (UserId u : outcome.users) {
     outcome.names.push_back(snapshot.repository().user(u).name());
   }
-  if (request.explain) {
-    outcome.explanations = BuildExplanations(*instance, outcome.users);
-  }
-  return SerializeOutcome(outcome);
+  return SerializeOutcome(outcome, instance);
 }
 
 Result<std::string> SelectionService::RunShardedSelection(
@@ -398,7 +371,7 @@ Result<std::string> SelectionService::RunShardedSelection(
     if (!name.ok()) return name.status();
     outcome.names.push_back(std::move(name).value());
   }
-  return SerializeOutcome(outcome);
+  return SerializeOutcome(outcome, /*explain=*/nullptr);
 }
 
 }  // namespace podium::serve

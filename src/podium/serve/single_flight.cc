@@ -21,6 +21,7 @@ SingleFlight::Outcome SingleFlight::Do(
       // the stampede while the leader is still running.
       follower = true;
       flight = it->second;
+      ++flight->followers;
       hook = join_hook_;
       obs::MetricsRegistry::Global()
           .counter("serve.singleflight.shared")
@@ -56,10 +57,16 @@ SingleFlight::Outcome SingleFlight::Do(
       flight->status = result.status();
     }
     outcome.status = flight->status;
-    outcome.value = flight->value;  // copy: followers still need theirs
     // Forget the key: the next request for it starts a fresh flight (the
-    // result cache, not SingleFlight, is where completed work lives).
+    // result cache, not SingleFlight, is where completed work lives). No
+    // follower can join once the key is gone, so with none joined yet the
+    // value is the leader's alone.
     flights_.erase(key);
+    if (flight->followers == 0) {
+      outcome.value = std::move(flight->value);
+    } else {
+      outcome.value = flight->value;  // copy: followers still need theirs
+    }
   }
   flight_done_.NotifyAll();
   return outcome;

@@ -50,6 +50,9 @@ class SingleFlight {
  private:
   struct Flight {
     bool done = false;
+    /// Callers parked on this flight; the leader moves its value out
+    /// instead of copying it when there are none.
+    std::size_t followers = 0;
     Status status = Status::Ok();
     std::string value;
   };

@@ -1,10 +1,19 @@
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "podium/core/instance.h"
+#include "podium/datagen/generator.h"
 #include "podium/json/parser.h"
 #include "podium/json/value.h"
 #include "podium/json/writer.h"
+#include "podium/util/rng.h"
 
 namespace podium::json {
 namespace {
@@ -149,6 +158,120 @@ TEST(JsonWriteTest, PrettyPrinting) {
 
 TEST(JsonWriteTest, NonFiniteNumbersBecomeNull) {
   EXPECT_EQ(Write(Value(std::nan(""))), "null");
+}
+
+/// The number path Write took before AppendNumber moved to <charconv>:
+/// %.0f for an integral value below 1e15 in magnitude; otherwise %.15g,
+/// unless strtod reads that back as another double, then %.17g.
+std::string PrintfNumber(double value) {
+  if (std::isnan(value) || std::isinf(value)) return "null";
+  char buf[40];
+  if (value == std::floor(value) && std::fabs(value) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%.0f", value);
+    return buf;
+  }
+  std::snprintf(buf, sizeof(buf), "%.15g", value);
+  if (std::strtod(buf, nullptr) != value) {
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+  }
+  return buf;
+}
+
+std::string Formatted(double value) {
+  std::string out;
+  AppendNumber(value, out);
+  return out;
+}
+
+/// Counts the values AppendNumber prints differently from PrintfNumber,
+/// reporting the first few.
+template <typename Values>
+std::size_t CountMismatches(const Values& values) {
+  std::size_t mismatches = 0;
+  for (const double value : values) {
+    const std::string expected = PrintfNumber(value);
+    const std::string actual = Formatted(value);
+    if (actual == expected) continue;
+    if (++mismatches <= 5) {
+      char hex[40];
+      std::snprintf(hex, sizeof(hex), "%a", value);
+      ADD_FAILURE() << hex << ": AppendNumber printed " << actual
+                    << ", printf " << expected;
+    }
+  }
+  return mismatches;
+}
+
+TEST(JsonNumberTest, MatchesPrintfOnEdgeValues) {
+  const double two53 = 9007199254740992.0;
+  const double values[] = {0.0,
+                           -0.0,
+                           1e15 - 1,
+                           1e15,
+                           1e15 + 1,
+                           -(1e15 - 1),
+                           -1e15,
+                           -(1e15 + 1),
+                           two53,
+                           -two53,
+                           two53 + 2,
+                           0.1,
+                           1.0 / 3,
+                           DBL_MIN,
+                           4.9e-324,
+                           1e-310,
+                           DBL_MAX,
+                           -DBL_MAX,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()};
+  EXPECT_EQ(CountMismatches(values), 0u);
+  // A few of the bytes themselves.
+  EXPECT_EQ(Formatted(-0.0), "-0");
+  EXPECT_EQ(Formatted(1e15 - 1), "999999999999999");
+  EXPECT_EQ(Formatted(1e15), "1e+15");
+  EXPECT_EQ(Formatted(0.1), "0.1");
+  EXPECT_EQ(Formatted(1.0 / 3), "0.33333333333333331");
+  EXPECT_EQ(Formatted(4.9e-324), "4.94065645841247e-324");
+  EXPECT_EQ(Formatted(DBL_MAX), "1.7976931348623157e+308");
+  EXPECT_EQ(Formatted(-std::numeric_limits<double>::infinity()), "null");
+}
+
+TEST(JsonNumberTest, MatchesPrintfOnInstanceWeights) {
+  datagen::DatasetConfig config;
+  config.num_users = 300;
+  config.num_restaurants = 600;
+  config.leaf_categories = 30;
+  config.holdout_destinations = 0;
+  config.seed = 5;
+  Result<datagen::Dataset> dataset = datagen::GenerateDataset(config);
+  ASSERT_TRUE(dataset.ok()) << dataset.status();
+  for (const WeightKind kind :
+       {WeightKind::kLbs, WeightKind::kEbs, WeightKind::kIden}) {
+    InstanceOptions options;
+    options.weight_kind = kind;
+    options.budget = 8;
+    Result<DiversificationInstance> instance =
+        DiversificationInstance::Build(dataset->repository, options);
+    ASSERT_TRUE(instance.ok()) << instance.status();
+    std::vector<double> weights;
+    for (GroupId g = 0; g < instance->groups().group_count(); ++g) {
+      weights.push_back(instance->weight(g));
+    }
+    ASSERT_FALSE(weights.empty());
+    EXPECT_EQ(CountMismatches(weights), 0u) << WeightKindName(kind);
+  }
+}
+
+TEST(JsonNumberTest, MatchesPrintfOnRandomBitPatterns) {
+  // Every exponent, subnormals and NaN payloads included.
+  util::Rng rng(20250101);
+  std::vector<double> values(std::size_t{1} << 20);
+  for (double& value : values) {
+    const std::uint64_t bits = rng.NextU64();
+    std::memcpy(&value, &bits, sizeof(value));
+  }
+  EXPECT_EQ(CountMismatches(values), 0u);
 }
 
 // Round-trip property: parse(write(v)) == v for a corpus of documents.

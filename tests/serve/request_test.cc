@@ -124,6 +124,26 @@ TEST(CanonicalRequestKeyTest, ResultAffectingFieldsSplitTheKey) {
                      R"({"budget": 4, "explain": true})")));
 }
 
+TEST(CanonicalRequestKeyTest, FullRequestKeyIsPinned) {
+  // The exact bytes: the generation, then every result-affecting field in
+  // a fixed order as compact JSON, labels escaped like reply strings.
+  const SelectionRequest request = MustParseRequest(R"({
+    "budget": 4, "selector": "greedy", "weights": "EBS", "coverage": "Prop",
+    "must_have": ["livesIn \"Tokyo\""], "must_not": ["livesIn N\\Y\u0001C"],
+    "priority": ["livesIn Paris", "livesIn Zürich"],
+    "explain": true, "deadline_ms": 1500})");
+  EXPECT_EQ(CanonicalRequestKey(12345678901, request),
+            R"({"gen":12345678901,"budget":4,"weights":"EBS",)"
+            R"("coverage":"Prop","must_have":["livesIn \"Tokyo\""],)"
+            R"("must_not":["livesIn N\\Y\u0001C"],)"
+            R"("priority":["livesIn Paris","livesIn Zürich"],)"
+            R"("explain":true})");
+  // Absent kinds key as empty strings, absent lists as [].
+  EXPECT_EQ(CanonicalRequestKey(0, MustParseRequest("{}")),
+            R"({"gen":0,"budget":0,"weights":"","coverage":"",)"
+            R"("must_have":[],"must_not":[],"priority":[],"explain":false})");
+}
+
 TEST(CanonicalRequestKeyTest, MustHaveAndMustNotAreDistinct) {
   const SelectionRequest have =
       MustParseRequest(R"({"must_have": ["livesIn Tokyo"]})");

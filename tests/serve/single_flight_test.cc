@@ -36,6 +36,12 @@ TEST_F(SingleFlightTest, ConcurrentIdenticalKeysComputeOnce) {
   std::atomic<int> computes{0};
   util::Mutex mutex{"test.single_flight"};
   util::CondVar everyone_in;
+  // Large enough to live on the heap, so followers get copies of the
+  // leader's buffer rather than a short inline string.
+  std::string expected(std::size_t{1} << 20, 'x');
+  for (std::size_t i = 0; i < expected.size(); i += 4096) {
+    expected[i] = static_cast<char>('a' + i % 26);
+  }
 
   // The leader's compute parks until all followers have joined, proving
   // they coalesced rather than raced past a finished flight.
@@ -52,7 +58,7 @@ TEST_F(SingleFlightTest, ConcurrentIdenticalKeysComputeOnce) {
                std::chrono::steady_clock::now() < deadline) {
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
-        return std::string("value");
+        return expected;
       });
     });
   }
@@ -62,7 +68,7 @@ TEST_F(SingleFlightTest, ConcurrentIdenticalKeysComputeOnce) {
   std::size_t shared = 0;
   for (const SingleFlight::Outcome& outcome : outcomes) {
     ASSERT_TRUE(outcome.status.ok()) << outcome.status;
-    EXPECT_EQ(outcome.value, "value");
+    EXPECT_EQ(outcome.value, expected);
     if (outcome.shared) ++shared;
   }
   EXPECT_EQ(shared, kFollowers);
@@ -127,6 +133,23 @@ TEST_F(SingleFlightTest, CompletedFlightsAreForgotten) {
   EXPECT_EQ(computes, 3);
   EXPECT_EQ(Counter("serve.singleflight.leader"), 3u);
   EXPECT_EQ(Counter("serve.singleflight.shared"), 0u);
+}
+
+TEST_F(SingleFlightTest, ALeaderAloneGetsItsOwnBufferBack) {
+  // With no follower joined, the leader's result is moved, not copied: the
+  // bytes come back in the very buffer compute() allocated.
+  SingleFlight flight;
+  const char* allocated = nullptr;
+  SingleFlight::Outcome outcome =
+      flight.Do("key", [&allocated]() -> Result<std::string> {
+        std::string body(std::size_t{1} << 20, 'x');
+        allocated = body.data();
+        return body;
+      });
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status;
+  EXPECT_FALSE(outcome.shared);
+  EXPECT_EQ(outcome.value.size(), std::size_t{1} << 20);
+  EXPECT_EQ(outcome.value.data(), allocated);
 }
 
 TEST_F(SingleFlightTest, DistinctKeysDoNotCoalesce) {

@@ -3,8 +3,9 @@
 // 1/2/8 threads, under forced-scalar and native SIMD kernels, and at
 // budget = user count, where runs end in the zero-gain tail), the
 // customized path, and the serve-layer SelectionService all agree byte
-// for byte, and that EBS selections (full and restricted pools, random
-// tie order, and one served override) match the EBS oracle — then fuzzes
+// for byte (served bodies against check::ReferenceReply, explain replies
+// included), and that EBS selections (full and restricted pools, random
+// tie order, and served overrides) match the EBS oracle — then fuzzes
 // the JSON and HTTP parsers through their production entry points, and
 // the streaming profiles loader against the tree-built reference
 // (FuzzRepositoryJson). Under --shard-sweep the sharded engine must
